@@ -15,10 +15,9 @@ namespace {
 /// the tree must appear here exactly once; lint rule R7 parses the block
 /// between the begin/end markers and cross-checks the sites.  The
 /// default value is the hit payload when the arming spec does not
-/// override it (latency in ms for the hang points, the exit status for
-/// journal_commit_abort).
+/// override it (the exit status for journal_commit_abort).
 // bddmin-failpoint-catalog-begin
-const std::vector<FailPointRegistry::CatalogEntry> kCatalog = {
+constexpr FailPointRegistry::CatalogEntry kCatalog[] = {
     {"unique_insert_oom",
      "throw OutOfMemory in Manager::unique_insert before a new table slot "
      "is claimed (suppressed inside reorder critical sections)",
@@ -39,25 +38,10 @@ const std::vector<FailPointRegistry::CatalogEntry> kCatalog = {
      "throw OutOfMemory at the head of Manager::swap_adjacent_levels, "
      "before any mutation (an abort between swaps)",
      0},
-    {"minimize_deadline",
-     "throw Deadline at the entry of the restrict heuristic",
-     0},
-    {"minimize_hang",
-     "abort-aware sleep (value = ms) at the entry of the restrict "
-     "heuristic; cancelled by the engine watchdog via AbortRequested",
-     200},
     {"job_decode_corrupt",
      "reject the job payload as corrupted in engine::decode_job "
      "(simulates a snapshot that fails integrity checks)",
      0},
-    {"worker_loop_hang",
-     "abort-aware sleep (value = ms) in the engine worker loop before a "
-     "job runs; cancelled by the watchdog via AbortRequested",
-     200},
-    {"sink_drain_hang",
-     "bounded sleep (value = ms) before an outcome is delivered to the "
-     "result sink",
-     50},
     {"journal_commit_abort",
      "terminate the process (value = exit status) immediately before a "
      "journal completion record is written — the crash the resume path "
@@ -153,13 +137,12 @@ FailPointRegistry& FailPointRegistry::instance() {
   return *registry;
 }
 
-const std::vector<FailPointRegistry::CatalogEntry>&
-FailPointRegistry::catalog() {
+std::span<const FailPointRegistry::CatalogEntry> FailPointRegistry::catalog() {
   return kCatalog;
 }
 
 FailPointRegistry::FailPointRegistry() {
-  points_.reserve(kCatalog.size());
+  points_.reserve(std::size(kCatalog));
   for (const CatalogEntry& entry : kCatalog) {
     points_.push_back(
         std::unique_ptr<FailPoint>(new FailPoint(entry.default_value)));
@@ -167,7 +150,7 @@ FailPointRegistry::FailPointRegistry() {
 }
 
 FailPoint* FailPointRegistry::find(std::string_view name) noexcept {
-  for (std::size_t i = 0; i < kCatalog.size(); ++i) {
+  for (std::size_t i = 0; i < std::size(kCatalog); ++i) {
     if (name == kCatalog[i].name) return points_[i].get();
   }
   return nullptr;

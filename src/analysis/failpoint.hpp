@@ -4,8 +4,7 @@
 /// A failpoint is a named hook compiled into a hot path that normally
 /// costs one relaxed atomic load, but can be *armed* to simulate the
 /// failures the robustness machinery must survive: allocation failure
-/// (`OutOfMemory`), expired budgets (`Deadline`), artificial latency
-/// (hang simulation), payload corruption, and process death.  The idiom
+/// (`OutOfMemory`), payload corruption, and process death.  The idiom
 /// follows mongod's failpoints: the registry owns the arming state and a
 /// site-local macro evaluates it.
 ///
@@ -16,15 +15,15 @@
 ///     }
 ///
 /// The *site* decides what to inject; the registry only answers "fire
-/// now?" and hands back a per-site payload value (e.g. a latency in
-/// milliseconds).  Every site name must appear in the catalog in
+/// now?" and hands back a per-site payload value (e.g. an exit status).
+/// Every site name must appear in the catalog in
 /// failpoint.cpp — `FailPointRegistry::site` checks this, and lint rule
 /// R7 (tools/bddmin_lint.py) statically cross-checks that every
 /// `BDDMIN_FAILPOINT(` site is cataloged and unique.
 ///
 /// Arming, three ways:
 ///  * programmatically: `failpoints().arm("gc_oom", {.mode = kOnce})`
-///  * environment:      `BDDMIN_FAILPOINTS=gc_oom:once,minimize_hang:nth:3`
+///  * environment:      `BDDMIN_FAILPOINTS=gc_oom:once,job_decode_corrupt:nth:3`
 ///    (parsed by `arm_from_env`, which the batch engine calls at the top
 ///    of `run_batch` — so job *generation* in the CLI is never faulted,
 ///    only the batch under test)
@@ -46,6 +45,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -56,7 +56,7 @@ namespace bddmin::analysis {
 enum class FailPointMode : std::uint8_t { kOff, kOnce, kNth, kRandom };
 
 /// Arming parameters.  `value` overrides the site's catalog default
-/// payload when non-zero (sites use it for latencies / exit codes).
+/// payload when non-zero (journal_commit_abort uses it as the exit code).
 struct FailPointConfig {
   FailPointMode mode = FailPointMode::kOff;
   std::uint64_t nth = 1;      ///< kNth: fire on the nth evaluation (1-based)
@@ -68,7 +68,7 @@ struct FailPointConfig {
 /// Result of one evaluation.  Truthy iff the site should inject.
 struct FailPointHit {
   bool fired = false;
-  std::uint64_t value = 0;  ///< site payload (latency ms, exit code, ...)
+  std::uint64_t value = 0;  ///< site payload (exit code, ...)
 
   explicit operator bool() const noexcept { return fired; }
 };
@@ -118,8 +118,9 @@ class FailPointRegistry {
   static FailPointRegistry& instance();
 
   /// The full compile-time catalog, for enumeration (CLI `failpoints`
-  /// subcommand, the CI sweep, lint R7).
-  [[nodiscard]] static const std::vector<CatalogEntry>& catalog();
+  /// subcommand, the failpoint sweep test).  A constant array: nothing is
+  /// allocated during static initialization.
+  [[nodiscard]] static std::span<const CatalogEntry> catalog();
 
   /// The failpoint named \p name.  BDDMIN_CHECKs that the name is
   /// cataloged — an unknown name is a programming error, not a config

@@ -38,7 +38,6 @@
 /// reported even for unlimited runs.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -52,11 +51,10 @@ enum class LimitClass : std::uint8_t {
   kStepLimit,    ///< recursion-step budget exhausted
   kDeadline,     ///< wall-clock deadline passed
   kOutOfMemory,  ///< allocation failure (wrapped std::bad_alloc)
-  kCancelled,    ///< external cancellation (watchdog / abort signal)
 };
 
 /// Stable lower-case name ("node-limit", "step-limit", "deadline",
-/// "out-of-memory", "cancelled") used in CSV reports and diagnostics.
+/// "out-of-memory") used in CSV reports and diagnostics.
 [[nodiscard]] const char* limit_class_name(LimitClass c) noexcept;
 
 /// Base of the resource-limit hierarchy.  Catching this (rather than the
@@ -97,17 +95,6 @@ class OutOfMemory final : public ResourceExhausted {
   std::size_t bytes_;
 };
 
-/// Thrown when an attached abort signal (see
-/// ResourceGovernor::attach_abort_signal) requests cancellation of the
-/// in-flight operation — the batch engine's hung-job watchdog is the
-/// producer.  Same strong abort guarantee as every other limit class:
-/// the manager stays structurally consistent and reusable.
-class AbortRequested final : public ResourceExhausted {
- public:
-  /// \p who names the cancelling party ("watchdog", a failpoint, ...).
-  explicit AbortRequested(const char* who);
-};
-
 /// One budget.  Zero always means "unlimited" for that dimension.
 struct ResourceLimits {
   /// Sticky-flag quota on allocated nodes (live + dead); never throws.
@@ -140,28 +127,23 @@ class ResourceGovernor {
     limits_ = limits;
     steps_ = 0;
     soft_exceeded_ = false;
-    watching_steps_ = limits.step_limit > 0 || limits.deadline_seconds > 0.0 ||
-                      abort_signal_ != nullptr;
+    watching_steps_ = limits.step_limit > 0 || limits.deadline_seconds > 0.0;
     if (limits.deadline_seconds > 0.0) {
       deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                      std::chrono::duration<double>(
                                          limits.deadline_seconds));
     }
   }
-  /// Remove every limit (telemetry keeps accumulating).  An attached
-  /// abort signal stays attached — cancellation outlives budget swaps.
+  /// Remove every limit (telemetry keeps accumulating).
   void clear() noexcept {
     limits_ = ResourceLimits{};
-    watching_steps_ = abort_signal_ != nullptr;
+    watching_steps_ = false;
     soft_exceeded_ = false;
   }
   /// Fresh-job state for a pooled manager (Manager::reset()): clears the
   /// limits AND the always-on telemetry (steps used, peak live) so a reused
-  /// manager reports exactly what a freshly constructed one would.  Also
-  /// detaches any abort signal — the next job attaches its own.
+  /// manager reports exactly what a freshly constructed one would.
   void reset_job() noexcept {
-    abort_signal_ = nullptr;
-    abort_epoch_ = 0;
     clear();
     steps_ = 0;
     peak_live_ = 0;
@@ -193,33 +175,10 @@ class ResourceGovernor {
       throw_step_limit();
     }
     if ((steps_ & (kDeadlinePollInterval - 1)) == 1) {
-      if (abort_requested()) throw_abort();
       if (limits_.deadline_seconds > 0.0 && Clock::now() >= deadline_) {
         throw_deadline();
       }
     }
-  }
-
-  /// Attach an external cancellation signal: when \p signal's value equals
-  /// \p epoch, the next charge_step poll throws AbortRequested.  The
-  /// epoch-tagging lets one long-lived per-worker atomic cancel exactly one
-  /// (job, attempt) — a stale store aimed at a finished attempt can never
-  /// cancel its successor.  Null detaches.  The signal survives
-  /// set_limits()/clear() and is dropped by reset_job().
-  void attach_abort_signal(const std::atomic<std::uint64_t>* signal,
-                           std::uint64_t epoch) noexcept {
-    abort_signal_ = signal;
-    abort_epoch_ = epoch;
-    watching_steps_ = limits_.step_limit > 0 ||
-                      limits_.deadline_seconds > 0.0 ||
-                      abort_signal_ != nullptr;
-  }
-
-  /// True when the attached signal currently requests cancellation.
-  /// Cooperative long-running sites (and injected hangs) poll this.
-  [[nodiscard]] bool abort_requested() const noexcept {
-    return abort_signal_ != nullptr &&
-           abort_signal_->load(std::memory_order_relaxed) == abort_epoch_;
   }
 
   /// True while a NodeQuotaSuspension critical section is open — i.e. a
@@ -266,16 +225,12 @@ class ResourceGovernor {
 
   [[noreturn]] void throw_step_limit() const;
   [[noreturn]] void throw_deadline() const;
-  [[noreturn]] void throw_abort() const;
 
   ResourceLimits limits_;
   Clock::time_point deadline_{};
 #if !defined(BDDMIN_NO_TELEMETRY)
   std::uint64_t* step_counter_ = nullptr;  // owned by the Manager's bank
 #endif
-  /// Watchdog-owned slot; only the pointee is shared across threads.
-  const std::atomic<std::uint64_t>* abort_signal_ = nullptr;
-  std::uint64_t abort_epoch_ = 0;
   std::uint64_t steps_ = 0;
   std::size_t peak_live_ = 0;
   unsigned critical_depth_ = 0;

@@ -16,7 +16,6 @@
 #include "analysis/thread_annotations.hpp"
 #include "bdd/bdd.hpp"
 #include "bdd/ops.hpp"
-#include "engine/flight.hpp"
 #include "engine/journal.hpp"
 #include "engine/queue.hpp"
 #include "engine/shard.hpp"
@@ -55,10 +54,9 @@ using Clock = std::chrono::steady_clock;
 constexpr std::uint64_t kDepthSampleEvery = 16;
 
 /// One worker's time/event accounting, single writer (the worker), read
-/// by run_batch after the join.  Padded like WorkerStatus so neighbours
-/// never share a line.
+/// by run_batch after the join.  Padded so neighbours never share a line.
 struct alignas(64) WorkerStats {
-  std::uint64_t busy_ns = 0;   ///< inside job attempts
+  std::uint64_t busy_ns = 0;   ///< inside jobs
   std::uint64_t steal_ns = 0;  ///< try_pop time past an own-deque miss
   std::uint64_t sink_ns = 0;   ///< journal append + delivery
   std::uint64_t jobs = 0;
@@ -83,45 +81,6 @@ struct BatchInstruments {
   telemetry::Histogram shard_cost;
 };
 
-/// Per-worker slot shared with the watchdog thread.  The worker publishes
-/// a unique epoch per (job, attempt) — start_ns is stored first, then the
-/// epoch with release, so the watchdog (acquire) never pairs a fresh
-/// epoch with a stale start time.  To cancel, the watchdog copies the
-/// observed epoch into abort_epoch; the governor polls it via
-/// attach_abort_signal.  Epoch-tagging makes a stale cancellation aimed
-/// at a finished attempt a no-op for its successor.
-struct alignas(64) WorkerStatus {
-  std::atomic<std::uint64_t> epoch{0};  ///< 0 = idle
-  std::atomic<std::uint64_t> start_ns{0};
-  std::atomic<std::uint64_t> abort_epoch{0};
-  std::uint64_t next_epoch = 0;  ///< worker-private attempt counter
-};
-
-/// Cancellation handle for one (job, attempt), threaded through
-/// process_job so cooperative points outside the governor's step polling
-/// (between heuristics, inside injected hangs) can observe the watchdog.
-struct JobControl {
-  const std::atomic<std::uint64_t>* abort_signal = nullptr;
-  std::uint64_t epoch = 0;
-
-  [[nodiscard]] bool aborted() const noexcept {
-    return abort_signal != nullptr &&
-           abort_signal->load(std::memory_order_relaxed) == epoch;
-  }
-};
-
-/// Abort-aware sleep for the injected hang sites: stalls for \p ms but
-/// stays cancellable, throwing AbortRequested when the watchdog fires.
-void hang_sleep(std::uint64_t ms, const JobControl& control) {
-  const auto deadline = Clock::now() + std::chrono::milliseconds(ms);
-  while (Clock::now() < deadline) {
-    if (control.aborted()) {
-      throw AbortRequested("watchdog (injected hang)");
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
 /// Submission-order result sink.  Each slot is written exactly once, but
 /// the mutex also guards the delivery tallies and makes the sink safe to
 /// observe (the progress line) while workers run.
@@ -134,7 +93,6 @@ class ResultSink {
     std::size_t delivered = 0;
     std::size_t ok = 0;
     std::size_t failed = 0;
-    std::size_t quarantined = 0;
   };
 
   explicit ResultSink(std::size_t num_jobs) : slots_(num_jobs) {}
@@ -142,12 +100,8 @@ class ResultSink {
   void deliver(std::size_t index, JobOutcome outcome) BDDMIN_EXCLUDES(mu_) {
     const std::lock_guard<std::mutex> lock(mu_);
     ++progress_.delivered;
-    switch (outcome.status) {
-      case JobStatus::kOk: ++progress_.ok; break;
-      case JobStatus::kError: ++progress_.failed; break;
-      case JobStatus::kQuarantined: ++progress_.quarantined; break;
-      default: break;
-    }
+    progress_.ok += outcome.status == JobStatus::kOk ? 1 : 0;
+    progress_.failed += outcome.status == JobStatus::kError ? 1 : 0;
     slots_[index] = std::move(outcome);
   }
 
@@ -172,11 +126,8 @@ struct WorkerContext {
   const std::vector<minimize::Heuristic>* heuristics;
   const minimize::Heuristic* fallback;  ///< nullptr = no budget retry
   unsigned worker;
-  WorkerStatus* status = nullptr;   ///< watchdog slot; nullptr = no watchdog
   JournalWriter* journal = nullptr; ///< completion records; nullptr = off
   WorkerStats* stats = nullptr;            ///< utilization accounting
-  FlightRecorder* flight = nullptr;        ///< this worker's event ring
-  const std::string* flight_path = nullptr;///< dump destination ("" = stderr only)
   BatchInstruments* instruments = nullptr; ///< batch-local histograms
   const std::vector<std::size_t>* to_run = nullptr;  ///< run list (job indices)
   const ShardPlan* plan = nullptr;  ///< shard ranges over *to_run
@@ -210,7 +161,7 @@ struct WorkerContext {
 
 /// Run one heuristic under \p budget; always leaves the governor cleared.
 /// On a budget trip the partially built result is reclaimed immediately so
-/// the next attempt starts from a compact table.
+/// the fallback heuristic starts from a compact table.
 [[nodiscard]] Edge run_budgeted(Manager& mgr, const minimize::Heuristic& h,
                                 const ResourceLimits& budget, Edge f, Edge c) {
   mgr.governor().set_limits(budget);
@@ -240,8 +191,7 @@ Manager& acquire_manager(std::unique_ptr<Manager>& pool, unsigned num_vars,
 }
 
 JobOutcome process_job(const Job& job, const WorkerContext& ctx,
-                       std::unique_ptr<Manager>& pool,
-                       const JobControl& control, bool warm,
+                       std::unique_ptr<Manager>& pool, bool warm,
                        DecodeScratch& decode_scratch) {
   const EngineOptions& opts = *ctx.opts;
   const std::vector<minimize::Heuristic>& heuristics = *ctx.heuristics;
@@ -265,8 +215,8 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
     // Warm continuation inside a shard: the caller verified the pooled
     // manager exists, matches num_vars and is under the node watermark.
     // The unique table and computed cache carry over from the previous
-    // job; only the per-job governor telemetry (steps, peak_live, abort
-    // signal) is rebaselined.  Results are unaffected — BDDs are
+    // job; only the per-job governor telemetry (steps, peak_live) is
+    // rebaselined.  Results are unaffected — BDDs are
     // canonical and a cached result *is* the result — the warm state
     // only removes work, which the counter deltas quantify.
     acquired = pool.get();
@@ -279,19 +229,9 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
     ++ctx.stats->cold_jobs;
   }
   Manager& mgr = *acquired;
-  // Wire this (job, attempt) to the watchdog: the governor polls the
-  // signal on its deadline cadence, so even a single runaway recursion is
-  // cancellable.  reset()/reset_job() detached any previous signal.
-  if (control.abort_signal != nullptr) {
-    mgr.governor().attach_abort_signal(control.abort_signal, control.epoch);
-  }
   minimize::IncSpec spec;
   try {
     spec = decode_job(mgr, job, decode_scratch);
-  } catch (const AbortRequested& e) {
-    outcome.status = JobStatus::kQuarantined;
-    outcome.detail = std::string("decode: ") + e.what();
-    return outcome;
   } catch (const std::exception& e) {
     outcome.status = JobStatus::kError;
     outcome.error = std::string("decode: ") + e.what();
@@ -320,14 +260,6 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
       if (outcome.status == JobStatus::kOk) outcome.status = JobStatus::kTimeout;
       break;
     }
-    if (control.aborted()) {
-      // The watchdog fired while we were between heuristics (where no
-      // governor poll runs).  Same verdict as an in-flight cancellation.
-      outcome.status = JobStatus::kQuarantined;
-      if (!outcome.detail.empty()) outcome.detail += "; ";
-      outcome.detail += "cancelled by watchdog between heuristics";
-      break;
-    }
     // A warm job must not flush: garbage_collect() clears the computed
     // cache, which is exactly the state warm reuse exists to keep.  The
     // soft-quota flush can't arise warm (quotas force the cold path).
@@ -353,14 +285,6 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
         g = run_budgeted(mgr, heuristics[h], heuristic_budget(opts, job_start),
                          spec.f, spec.c);
       } catch (const ResourceExhausted& e) {
-        if (e.limit_class() == LimitClass::kCancelled) {
-          // Watchdog cancellation is not a budget trip: no degradation,
-          // the attempt is over.  The worker retries or quarantines.
-          outcome.status = JobStatus::kQuarantined;
-          if (!outcome.detail.empty()) outcome.detail += "; ";
-          outcome.detail += heuristics[h].name + ": " + e.what();
-          break;
-        }
         // Graceful degradation: keep the job alive on the best cover so far.
         outcome.status = JobStatus::kResourceLimit;
         if (!outcome.detail.empty()) outcome.detail += "; ";
@@ -373,11 +297,6 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
                              heuristic_budget(opts, job_start), spec.f, spec.c);
             outcome.detail += " (retried on " + ctx.fallback->name + ")";
           } catch (const ResourceExhausted& e2) {
-            if (e2.limit_class() == LimitClass::kCancelled) {
-              outcome.status = JobStatus::kQuarantined;
-              outcome.detail += "; " + ctx.fallback->name + ": " + e2.what();
-              break;
-            }
             outcome.detail += " (retry on " + ctx.fallback->name + ": " +
                               limit_class_name(e2.limit_class()) + ")";
             g = best;
@@ -454,62 +373,12 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
   return outcome;
 }
 
-/// Transient-failure classification for the retry loop.  Returns the
-/// retry_reason label, or "" for outcomes that must not be retried.
-/// kError always retries (real transients — a torn pooled manager, an
-/// injected corruption — land here; deterministic errors just fail
-/// identically `max_retries` more times, keeping attempts deterministic).
-/// kResourceLimit retries only for classes that are genuinely transient:
-/// an out-of-memory degrade, or a deadline when no job timeout is
-/// configured (then the deadline cannot be the caller's own budget).
-/// Node/step-limit degrades are deterministic and final.
-[[nodiscard]] std::string retry_class(const JobOutcome& outcome,
-                                      const EngineOptions& opts) {
-  switch (outcome.status) {
-    case JobStatus::kError:
-      return "error";
-    case JobStatus::kQuarantined:
-      return "hung";
-    case JobStatus::kResourceLimit:
-      if (outcome.detail.find("out-of-memory") != std::string::npos) {
-        return "out-of-memory";
-      }
-      if (opts.job_timeout_seconds == 0.0 &&
-          outcome.detail.find("deadline") != std::string::npos) {
-        return "deadline";
-      }
-      return "";
-    default:
-      return "";
-  }
-}
-
-/// Exponential backoff before retry \p attempt of job \p index:
-/// `backoff_ms * 2^(attempt-1)` capped at 10 s, plus a deterministic
-/// jitter in [0, backoff_ms) hashed from (index, attempt) — workers
-/// retrying the same transient cause (e.g. memory pressure) decorrelate
-/// without introducing nondeterminism.
-void backoff_sleep(const EngineOptions& opts, std::size_t index,
-                   unsigned attempt) {
-  if (opts.backoff_ms == 0) return;
-  const unsigned shift = std::min(attempt - 1, 16u);
-  std::uint64_t delay_ms =
-      std::min<std::uint64_t>(std::uint64_t{opts.backoff_ms} << shift, 10'000);
-  std::uint64_t h = (static_cast<std::uint64_t>(index) << 32) ^ attempt;
-  h += 0x9e3779b97f4a7c15ull;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  delay_ms += (h ^ (h >> 31)) % opts.backoff_ms;
-  std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-}
-
 void worker_loop(WorkStealingQueue& queue, std::span<const Job> jobs,
                  ResultSink& sink, const WorkerContext& ctx) {
   // One pooled Manager per worker, reused across jobs via reset() — and,
   // inside a shard, without it (warm continuation, see process_job).
   std::unique_ptr<Manager> pool;
   WorkerStats& stats = *ctx.stats;
-  FlightRecorder& flight = *ctx.flight;
   // Per-worker arenas: reused across every job this worker runs, so the
   // steady-state loop performs no heap allocation for decode buffers or
   // journal records (the VisitScratch idiom, extended to the engine).
@@ -537,9 +406,6 @@ void worker_loop(WorkStealingQueue& queue, std::span<const Job> jobs,
       ++stats.steals;
       stats.steal_ns += pop_ns;
       ctx.instruments->steal_search.record(pop_ns);
-      flight.record(FlightEventType::kSteal,
-                    static_cast<std::uint32_t>((*ctx.to_run)[shard.first]), 0,
-                    0);
     }
     if constexpr (telemetry::kHistogramsEnabled) {
       if (++stats.pops % kDepthSampleEvery == 0) {
@@ -549,147 +415,66 @@ void worker_loop(WorkStealingQueue& queue, std::span<const Job> jobs,
       }
     }
     // Whether the *next* job in this shard may start warm: the previous
-    // job must have completed cleanly first-attempt on this manager.
-    // Resets via exceptions (pool dropped), retries and escape hatches
-    // all fall back to cold deterministically.
+    // job must have completed cleanly on this manager.  Resets via
+    // exceptions (pool dropped) and escape hatches fall back to cold
+    // deterministically.
     bool warm_ready = false;
     for (std::uint32_t j = 0; j < shard.count; ++j) {
       const std::size_t index = (*ctx.to_run)[shard.first + j];
       const telemetry::TraceScope span(std::string("job:") + jobs[index].name,
                                        "engine");
-      unsigned attempt = 1;
-      std::string first_retry_reason;
-      for (;;) {
-        JobOutcome outcome;
-        JobControl control;
-        if (ctx.status != nullptr) {
-          // Publish this (job, attempt) to the watchdog: start time first,
-          // then the epoch with release (see WorkerStatus).
-          const std::uint64_t epoch = ++ctx.status->next_epoch;
-          ctx.status->start_ns.store(now_ns(), std::memory_order_relaxed);
-          ctx.status->epoch.store(epoch, std::memory_order_release);
-          control.abort_signal = &ctx.status->abort_epoch;
-          control.epoch = epoch;
-        }
-        flight.record(FlightEventType::kJobStart,
-                      static_cast<std::uint32_t>(index),
-                      static_cast<std::uint16_t>(attempt), 0);
-        const std::uint64_t busy_start = stat_now_ns();
-        // The warm decision, per attempt: retries always start cold, and
-        // the node watermark bounds table garbage across a long shard.
-        const bool warm =
-            ctx.warm_capable && warm_ready && attempt == 1 &&
-            pool != nullptr &&
-            pool->num_vars() == std::max(jobs[index].num_vars, 1u) &&
-            pool->allocated_nodes() < ctx.opts->shard_node_watermark;
-        try {
-          if (const auto hit = BDDMIN_FAILPOINT("worker_loop_hang")) {
-            flight.record(FlightEventType::kFailpoint,
-                          static_cast<std::uint32_t>(index),
-                          static_cast<std::uint16_t>(attempt), 0);
-            hang_sleep(hit.value, control);
-          }
-          outcome = process_job(jobs[index], ctx, pool, control, warm,
-                                decode_scratch);
-        } catch (const AbortRequested& e) {
-          // A cancellation that unwound past process_job (decode outside
-          // its catch, validation, an injected hang).  The manager honours
-          // the strong guarantee, but be conservative with the pool.
-          outcome.name = jobs[index].name;
-          outcome.num_vars = jobs[index].num_vars;
-          outcome.worker = ctx.worker;
-          outcome.status = JobStatus::kQuarantined;
-          outcome.detail = e.what();
-          outcome.results.resize(ctx.heuristics->size());
-          pool.reset();
-        } catch (const std::exception& e) {
-          // Containment: a throw outside the budgeted sections (e.g. the
-          // manager constructor running out of memory) fails the one job, not
-          // the batch.  The results vector is sized so the CSV keeps its shape.
-          outcome.name = jobs[index].name;
-          outcome.num_vars = jobs[index].num_vars;
-          outcome.worker = ctx.worker;
-          outcome.status = JobStatus::kError;
-          outcome.error = e.what();
-          outcome.results.resize(ctx.heuristics->size());
-          // An uncontained throw may have left the pooled manager mid-mutation;
-          // drop it rather than reuse a possibly inconsistent instance.
-          pool.reset();
-        }
-        stats.busy_ns += stat_now_ns() - busy_start;
-        flight.record(FlightEventType::kJobFinish,
-                      static_cast<std::uint32_t>(index),
-                      static_cast<std::uint16_t>(attempt),
-                      static_cast<std::uint8_t>(outcome.status));
-        if (ctx.status != nullptr) {
-          ctx.status->epoch.store(0, std::memory_order_release);  // idle
-        }
-
-        const std::string reason = retry_class(outcome, *ctx.opts);
-        if (!reason.empty() && attempt <= ctx.opts->max_retries) {
-          if (first_retry_reason.empty()) first_retry_reason = reason;
-          flight.record(FlightEventType::kRetry,
-                        static_cast<std::uint32_t>(index),
-                        static_cast<std::uint16_t>(attempt),
-                        static_cast<std::uint8_t>(outcome.status));
-          backoff_sleep(*ctx.opts, index, attempt);  // idle, not busy
-          ++attempt;
-          continue;  // fresh attempt, fresh JobOutcome
-        }
-
-        outcome.attempts = attempt;
-        outcome.retry_reason = first_retry_reason;
-        ++stats.jobs;
-        if constexpr (telemetry::kHistogramsEnabled) {
-          const auto latency_ns =
-              static_cast<std::uint64_t>(outcome.seconds * 1e9);
-          telemetry::histograms()
-              .job_latency(static_cast<unsigned>(outcome.status), attempt)
-              .record(latency_ns);
-          ctx.instruments->job_latency.record(latency_ns);
-          ctx.instruments->job_steps.record(
-              outcome.counters.value(telemetry::Counter::kGovernorSteps));
-        }
-        if (outcome.status == JobStatus::kQuarantined) {
-          // Black-box moment: capture what this worker was doing around
-          // the quarantine while the ring still holds it.
-          flight.record(FlightEventType::kQuarantine,
-                        static_cast<std::uint32_t>(index),
-                        static_cast<std::uint16_t>(attempt),
-                        static_cast<std::uint8_t>(outcome.attempts));
-          std::string text;
-          flight.dump(&text, ctx.worker, "job quarantined");
-          flight_write_dump(text, ctx.flight_path != nullptr ? *ctx.flight_path
-                                                             : std::string());
-        }
-        // The next job in this shard may only start warm off a clean
-        // first-attempt success — anything else leaves reuse undefined.
-        warm_ready = outcome.status == JobStatus::kOk && attempt == 1;
-        const std::uint64_t sink_start = stat_now_ns();
-        if (const auto hit = BDDMIN_FAILPOINT("sink_drain_hang")) {
-          // Bounded stall in the delivery path (lock *not* held).
-          flight.record(FlightEventType::kFailpoint,
-                        static_cast<std::uint32_t>(index),
-                        static_cast<std::uint16_t>(attempt), 1);
-          std::this_thread::sleep_for(std::chrono::milliseconds(hit.value));
-        }
-        // Journal before the sink: once an outcome is observable it is
-        // also durable.  Cancelled jobs are deliberately not journalled —
-        // a resume after a cancellation re-runs them.  Group-commit mode
-        // buffers the record and flushes once per shard instead; the
-        // durability unit widens from one job to one shard, and a crash
-        // re-runs at most the unflushed tail of the current shard.
-        if (ctx.journal != nullptr && outcome.status != JobStatus::kCancelled) {
-          if (group_commit) {
-            journal_group += format_completed_record(index, outcome);
-          } else {
-            ctx.journal->append_completed(index, outcome);
-          }
-        }
-        sink.deliver(index, std::move(outcome));
-        stats.sink_ns += stat_now_ns() - sink_start;
-        break;
+      JobOutcome outcome;
+      const std::uint64_t busy_start = stat_now_ns();
+      // The node watermark bounds table garbage across a long shard.
+      const bool warm =
+          ctx.warm_capable && warm_ready && pool != nullptr &&
+          pool->num_vars() == std::max(jobs[index].num_vars, 1u) &&
+          pool->allocated_nodes() < ctx.opts->shard_node_watermark;
+      try {
+        outcome = process_job(jobs[index], ctx, pool, warm, decode_scratch);
+      } catch (const std::exception& e) {
+        // Containment: a throw outside the budgeted sections (e.g. the
+        // manager constructor running out of memory) fails the one job, not
+        // the batch.  The results vector is sized so the CSV keeps its shape.
+        outcome.name = jobs[index].name;
+        outcome.num_vars = jobs[index].num_vars;
+        outcome.worker = ctx.worker;
+        outcome.status = JobStatus::kError;
+        outcome.error = e.what();
+        outcome.results.resize(ctx.heuristics->size());
+        // An uncontained throw may have left the pooled manager mid-mutation;
+        // drop it rather than reuse a possibly inconsistent instance.
+        pool.reset();
       }
+      stats.busy_ns += stat_now_ns() - busy_start;
+      ++stats.jobs;
+      if constexpr (telemetry::kHistogramsEnabled) {
+        const auto latency_ns =
+            static_cast<std::uint64_t>(outcome.seconds * 1e9);
+        telemetry::histograms()
+            .job_latency(static_cast<std::size_t>(outcome.status))
+            .record(latency_ns);
+        ctx.instruments->job_latency.record(latency_ns);
+        ctx.instruments->job_steps.record(
+            outcome.counters.value(telemetry::Counter::kGovernorSteps));
+      }
+      warm_ready = outcome.status == JobStatus::kOk;
+      const std::uint64_t sink_start = stat_now_ns();
+      // Journal before the sink: once an outcome is observable it is
+      // also durable.  Cancelled jobs are deliberately not journalled —
+      // a resume after a cancellation re-runs them.  Group-commit mode
+      // buffers the record and flushes once per shard instead; the
+      // durability unit widens from one job to one shard, and a crash
+      // re-runs at most the unflushed tail of the current shard.
+      if (ctx.journal != nullptr && outcome.status != JobStatus::kCancelled) {
+        if (group_commit) {
+          journal_group += format_completed_record(index, outcome);
+        } else {
+          ctx.journal->append_completed(index, outcome);
+        }
+      }
+      sink.deliver(index, std::move(outcome));
+      stats.sink_ns += stat_now_ns() - sink_start;
     }
     if (group_commit && !journal_group.empty()) {
       const std::uint64_t flush_start = stat_now_ns();
@@ -744,7 +529,6 @@ const char* job_status_name(JobStatus s) noexcept {
     case JobStatus::kCancelled: return "cancelled";
     case JobStatus::kError: return "error";
     case JobStatus::kResourceLimit: return "resource-limit";
-    case JobStatus::kQuarantined: return "quarantined";
   }
   return "?";
 }
@@ -890,43 +674,7 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
     }
   }
 
-  std::vector<WorkerStatus> wstatus(threads);
   std::vector<WorkerStats> wstats(threads);
-  std::vector<FlightRecorder> flights(threads);
-  const std::string flight_path =
-      effective.journal_path.empty() ? std::string()
-                                     : effective.journal_path + ".flight";
-  std::atomic<bool> watchdog_stop{false};
-  std::thread watchdog;
-  if (effective.hang_timeout_seconds > 0.0) {
-    const auto hang_ns =
-        static_cast<std::uint64_t>(effective.hang_timeout_seconds * 1e9);
-    // Poll a few times per threshold, capped at 10 ms so short test
-    // thresholds are detected promptly without a busy loop.
-    const auto poll = std::chrono::milliseconds(std::clamp<std::int64_t>(
-        static_cast<std::int64_t>(effective.hang_timeout_seconds * 250.0), 1,
-        10));
-    watchdog = std::thread([&wstatus, &watchdog_stop, hang_ns, poll] {
-      telemetry::Tracer::set_thread_name("watchdog");
-      while (!watchdog_stop.load(std::memory_order_relaxed)) {
-        for (WorkerStatus& s : wstatus) {
-          // Acquire pairs with the worker's release store: a non-zero
-          // epoch guarantees start_ns is the matching attempt's.
-          const std::uint64_t e = s.epoch.load(std::memory_order_acquire);
-          if (e == 0) continue;  // idle
-          if (s.abort_epoch.load(std::memory_order_relaxed) == e) {
-            continue;  // already cancelled; the worker will notice
-          }
-          const std::uint64_t started =
-              s.start_ns.load(std::memory_order_relaxed);
-          if (now_ns() - started > hang_ns) {
-            s.abort_epoch.store(e, std::memory_order_relaxed);
-          }
-        }
-        std::this_thread::sleep_for(poll);
-      }
-    });
-  }
   // Progress reporter: one self-overwriting stderr line off the sink's
   // tallies.  Reads only, so it can run for the whole batch; the final
   // summary line is printed by the main thread after the duplicates are
@@ -955,9 +703,8 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
             rate > 0.0 ? static_cast<double>(total - p.delivered) / rate
                        : -1.0;
         std::fprintf(stderr,
-                     "\r[batch] %zu/%zu ok=%zu fail=%zu quarantined=%zu "
-                     "%.1f jobs/s eta %s   ",
-                     p.delivered, total, p.ok, p.failed, p.quarantined, rate,
+                     "\r[batch] %zu/%zu ok=%zu fail=%zu %.1f jobs/s eta %s   ",
+                     p.delivered, total, p.ok, p.failed, rate,
                      format_eta(eta).c_str());
         std::fflush(stderr);
       }
@@ -970,32 +717,13 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
     for (unsigned w = 0; w < threads; ++w) {
       pool.emplace_back([&, w] {
         telemetry::Tracer::set_thread_name("worker-" + std::to_string(w));
-        // Register the ring for fatal-failpoint dumps (journal commit
-        // aborts dump the dying worker's ring before _Exit).
-        set_thread_flight_recorder(&flights[w], w, &flight_path);
-        const WorkerContext ctx{
-            &effective, &heuristics, fallback, w,
-            effective.hang_timeout_seconds > 0.0 ? &wstatus[w] : nullptr,
-            journal.get(), &wstats[w], &flights[w], &flight_path,
-            &instruments, &to_run, &plan, warm_capable};
+        const WorkerContext ctx{&effective, &heuristics, fallback,    w,
+                                journal.get(), &wstats[w], &instruments,
+                                &to_run,       &plan,      warm_capable};
         worker_loop(queue, jobs, sink, ctx);
-        set_thread_flight_recorder(nullptr, 0, nullptr);
       });
     }
     for (std::thread& t : pool) t.join();
-  }
-  watchdog_stop.store(true, std::memory_order_relaxed);
-  if (watchdog.joinable()) watchdog.join();
-  // Operator-requested dump: every worker's ring, after the join (the
-  // only point where cross-thread ring reads are race-free).
-  if (harness::env_u64("BDDMIN_FLIGHT_DUMP", 0) != 0) {
-    std::string text;
-    for (unsigned w = 0; w < threads; ++w) {
-      if (flights[w].total_recorded() > 0) {
-        flights[w].dump(&text, w, "BDDMIN_FLIGHT_DUMP");
-      }
-    }
-    if (!text.empty()) flight_write_dump(text, flight_path);
   }
   report.outcomes = sink.take();
   // Fill each duplicate from its representative, keeping the duplicate's
@@ -1019,11 +747,10 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
     progress_stop.store(true, std::memory_order_relaxed);
     progress.join();
     std::fprintf(stderr,
-                 "\r[batch] %zu/%zu ok=%zu fail=%zu quarantined=%zu done in "
-                 "%.1fs          \n",
+                 "\r[batch] %zu/%zu ok=%zu fail=%zu done in %.1fs          \n",
                  report.outcomes.size(), jobs.size(),
                  report.count(JobStatus::kOk), report.count(JobStatus::kError),
-                 report.count(JobStatus::kQuarantined), report.wall_seconds);
+                 report.wall_seconds);
     std::fflush(stderr);
   }
 
@@ -1068,7 +795,7 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
 }
 
 std::string report_csv(const BatchReport& report, bool include_timings,
-                       bool include_counters, bool include_attempts) {
+                       bool include_counters) {
   using telemetry::Counter;
   std::ostringstream os;
   os << "job,name,vars,status,f_size,c_size,c_onset,min,lower_bound,"
@@ -1089,7 +816,6 @@ std::string report_csv(const BatchReport& report, bool include_timings,
     for (const std::string& name : report.names) os << ",sec_" << name;
     os << ",job_seconds,worker";
   }
-  if (include_attempts) os << ",attempts,retry_reason";
   os << "\n";
   char buf[32];
   for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
@@ -1121,9 +847,6 @@ std::string report_csv(const BatchReport& report, bool include_timings,
       }
       std::snprintf(buf, sizeof buf, "%.6f", o.seconds);
       os << ',' << buf << ',' << o.worker;
-    }
-    if (include_attempts) {
-      os << ',' << o.attempts << ',' << harness::csv_field(o.retry_reason);
     }
     os << "\n";
   }

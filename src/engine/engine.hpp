@@ -25,14 +25,14 @@
 /// Sharding (`shard_cost > 0`): the submission stream is packed into
 /// cost-balanced shards (engine/shard.hpp) and the work-stealing deque
 /// dispatches shard indices, so one scheduling decision covers dozens of
-/// tiny jobs.  Retry, timeout, cancellation, dedup, journaling and
-/// quarantine all stay strictly per-job.  Within a shard the pooled
+/// tiny jobs.  Timeout, cancellation, dedup and journaling all stay
+/// strictly per-job.  Within a shard the pooled
 /// manager additionally skips reset() between consecutive jobs that
 /// share num_vars — the unique table and the 2-way computed cache stay
 /// *warm* across jobs — unless an escape hatch forces a cold start:
 /// node/step quotas configured (quota trips depend on allocation state),
 /// audit_level >= kStructural (the auditor must see a one-job table),
-/// the allocated-node watermark exceeded, or a retry attempt.  Warm
+/// or the allocated-node watermark exceeded.  Warm
 /// reuse never changes covers, sizes, statuses or audit verdicts (BDDs
 /// are canonical; cached results are the results), so the default CSV is
 /// byte-identical at any thread count *and* with sharding on or off.
@@ -52,27 +52,15 @@
 /// budget.  Such jobs finish kResourceLimit with the limit class recorded
 /// in `JobOutcome::detail`; kError is reserved for genuine bugs.
 ///
-/// Resilience (failpoint-tested; see docs/ROBUSTNESS.md):
-///  * **retry** — `max_retries > 0` re-runs a job whose failure class is
-///    transient (kError, an out-of-memory degrade, a watchdog hang, or an
-///    injected deadline when no job timeout is configured) with
-///    exponential backoff + deterministic jitter.  Each attempt starts
-///    from a fresh JobOutcome, so the *final* outcome of a retried job is
-///    identical to a never-faulted run; `attempts`/`retry_reason` are
-///    recorded but only emitted into the CSV with `include_attempts`
-///    (which failure hits which job is schedule-dependent under faults).
-///  * **watchdog** — `hang_timeout_seconds > 0` starts a monitor thread;
-///    a (job, attempt) exceeding the threshold is cancelled via an
-///    epoch-tagged abort signal polled by the governor (AbortRequested),
-///    then retried or, with the budget exhausted, finished as
-///    kQuarantined.  Only cooperative code can be cancelled — a truly
-///    wedged job (no charge_step, no poll) is detected but still waited
-///    on.
-///  * **journal** — `journal_path` writes an append-only, checksummed,
-///    fsync'd record of submitted jobs and completed outcomes; `resume`
-///    (from journal::read_journal) pre-fills completed outcomes and
-///    re-runs only the rest.  A resumed batch's default CSV is
-///    byte-identical to an uninterrupted run.
+/// Failure containment (failpoint-tested; see docs/ROBUSTNESS.md): a
+/// throw anywhere in a job fails that job alone (kError) and the batch
+/// runs on.  Jobs are pure functions of their payload, so a failed job
+/// is not retried — it would fail again the same way.  Crash recovery is
+/// the journal: `journal_path` writes an append-only, checksummed,
+/// fsync'd record of submitted jobs and completed outcomes; `resume`
+/// (from journal::read_journal) pre-fills completed outcomes and re-runs
+/// only the rest.  A resumed batch's default CSV is byte-identical to an
+/// uninterrupted run.
 #pragma once
 
 #include <atomic>
@@ -100,8 +88,6 @@ enum class JobStatus : std::uint8_t {
   kError,          ///< decode failure, thrown BDDMIN_CHECK, bad cover or audit finding
   kResourceLimit,  ///< a heuristic exhausted its budget; the job degraded to
                    ///< a still-valid fallback cover (see JobOutcome::detail)
-  kQuarantined,    ///< cancelled by the hang watchdog with the retry budget
-                   ///< exhausted; set aside, never blocks the batch
 };
 
 [[nodiscard]] const char* job_status_name(JobStatus s) noexcept;
@@ -179,18 +165,6 @@ struct EngineOptions {
   /// not-yet-started job completes immediately as kCancelled (jobs are
   /// atomic — a started job always runs to its own completion).
   std::shared_ptr<std::atomic<bool>> cancel;
-  /// Per-job retry budget for transient failures (kError, out-of-memory
-  /// degrades, watchdog hangs; see the header comment).  0 keeps the
-  /// historical fail-on-first-error behaviour.
-  unsigned max_retries = 0;
-  /// Base backoff before retry k: `backoff_ms * 2^(k-1)` ms (capped at
-  /// 10 s) plus a deterministic jitter in [0, backoff_ms) derived from
-  /// (job index, attempt).  0 retries immediately.
-  unsigned backoff_ms = 0;
-  /// Hang threshold for the watchdog thread; a (job, attempt) running
-  /// longer is cancelled (AbortRequested) and retried or quarantined.
-  /// 0 disables the watchdog.
-  double hang_timeout_seconds = 0.0;
   /// Write-ahead journal path.  Non-empty: the batch truncates the file,
   /// records every submitted job up front and every outcome as it
   /// completes (checksummed, fsync'd).  See engine/journal.hpp.
@@ -200,7 +174,7 @@ struct EngineOptions {
   /// to keep appending completion records for the jobs that do run.
   const JournalContents* resume = nullptr;
   /// Emit a single self-overwriting progress line on stderr, refreshed at
-  /// most every 500 ms (jobs done/total, ok/fail/quarantined tallies,
+  /// most every 500 ms (jobs done/total, ok/fail tallies,
   /// throughput, ETA), fed by the result sink's counters.  The engine
   /// honours the flag unconditionally; the CLI only sets it when stderr
   /// is a terminal (or BDDMIN_PROGRESS=1 forces it), so redirected runs
@@ -247,21 +221,13 @@ struct JobOutcome {
   telemetry::CounterSnapshot counters;
   unsigned worker = 0;                   ///< informational; non-deterministic
   double seconds = 0.0;                  ///< total job wall time
-  /// How many times the job ran (1 = no retry).  Deterministic in
-  /// fault-free runs and for deterministic failure classes; under
-  /// injected or real transient faults the victim job is
-  /// schedule-dependent, which is why the CSV column is opt-in.
-  unsigned attempts = 1;
-  /// Failure class of the *first* retried attempt ("error",
-  /// "out-of-memory", "deadline", "hung"); empty when attempts == 1.
-  std::string retry_reason;
 };
 
 /// Wall-clock decomposition of one worker's life inside a batch: every
 /// nanosecond between spawn and join is attributed to exactly one of
-/// busy (inside a job attempt), steal-search (hunting other deques after
+/// busy (inside a job), steal-search (hunting other deques after
 /// missing its own), sink (journal append + result delivery) or idle
-/// (everything else: retry backoff, waiting out the drain).  Busy, steal
+/// (everything else: waiting out the drain).  Busy, steal
 /// and sink are measured with the monotonic clock; idle is the
 /// remainder against the batch wall time, clamped at zero.  All seconds
 /// are zero when telemetry is compiled out; the event counts survive.
@@ -282,7 +248,7 @@ struct WorkerUtilization {
 /// wall-clock derived, hence outside the determinism contract; empty /
 /// zero when telemetry is compiled out.
 struct BatchMetrics {
-  telemetry::HistogramSnapshot job_latency_ns;   ///< final outcomes only
+  telemetry::HistogramSnapshot job_latency_ns;   ///< one sample per job run
   telemetry::HistogramSnapshot job_steps;        ///< governor steps per job
   telemetry::HistogramSnapshot steal_search_ns;  ///< per own-deque miss
   telemetry::HistogramSnapshot queue_depth;      ///< sampled backlog
@@ -327,12 +293,9 @@ struct BatchReport {
 /// and per-heuristic phase step splits — deterministic across thread
 /// counts (all zeros when telemetry is compiled out) but sensitive to
 /// the shard mode: warm computed caches do less work, which is the
-/// point.  `include_attempts` appends the retry columns (`attempts`,
-/// `retry_reason`) — deterministic only when no transient fault fired
-/// (see JobOutcome::attempts).
+/// point.
 [[nodiscard]] std::string report_csv(const BatchReport& report,
                                      bool include_timings = false,
-                                     bool include_counters = false,
-                                     bool include_attempts = false);
+                                     bool include_counters = false);
 
 }  // namespace bddmin::engine

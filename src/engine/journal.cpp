@@ -8,12 +8,11 @@
 #include <fstream>
 
 #include "analysis/failpoint.hpp"
-#include "engine/flight.hpp"
 
 namespace bddmin::engine {
 namespace {
 
-constexpr const char kHeader[] = "BDDMIN-JOURNAL v1";
+constexpr const char kHeader[] = "BDDMIN-JOURNAL v2";
 
 // ---- Field escaping ----------------------------------------------------
 // One record = one line.  Fields are comma-joined; any byte that could
@@ -199,8 +198,6 @@ std::string encode_outcome_record(const JobOutcome& outcome) {
   put_u64(out, outcome.peak_live);
   put_u64(out, outcome.worker);
   put_double(out, outcome.seconds);
-  put_u64(out, outcome.attempts);
-  put(out, outcome.retry_reason);
   put_u64(out, telemetry::kNumCounters);
   for (const std::uint64_t v : outcome.counters.values) put_u64(out, v);
   put_u64(out, outcome.results.size());
@@ -224,7 +221,7 @@ JobOutcome decode_outcome_record(const std::string& payload) {
   outcome.name = cur.next_string();
   outcome.num_vars = static_cast<unsigned>(cur.next_u64());
   const std::uint64_t status = cur.next_u64();
-  if (status > static_cast<std::uint64_t>(JobStatus::kQuarantined)) {
+  if (status > static_cast<std::uint64_t>(JobStatus::kResourceLimit)) {
     throw std::invalid_argument("journal record: bad status");
   }
   outcome.status = static_cast<JobStatus>(status);
@@ -239,8 +236,6 @@ JobOutcome decode_outcome_record(const std::string& payload) {
   outcome.peak_live = cur.next_u64();
   outcome.worker = static_cast<unsigned>(cur.next_u64());
   outcome.seconds = cur.next_double();
-  outcome.attempts = static_cast<unsigned>(cur.next_u64());
-  outcome.retry_reason = cur.next_string();
   const std::uint64_t num_counters = cur.next_u64();
   if (num_counters != telemetry::kNumCounters) {
     throw std::invalid_argument(
@@ -305,13 +300,10 @@ namespace {
 
 /// The crash the resume path must heal: die *before* any completion
 /// record (single or group) reaches the journal, so the affected jobs
-/// re-run on resume.  The worker's flight recorder is dumped first —
-/// this is exactly the "fatal failpoint" moment the ring exists for.
-/// Shared by append_completed and append_raw_lines so once/nth arming
-/// has a single polling site.
+/// re-run on resume.  Shared by append_completed and append_raw_lines so
+/// once/nth arming has a single polling site.
 void maybe_abort_before_commit() {
   if (const auto hit = BDDMIN_FAILPOINT("journal_commit_abort")) {
-    flight_fatal_dump("journal_commit_abort");
     std::_Exit(static_cast<int>(hit.value));
   }
 }

@@ -10,8 +10,6 @@
 ///   BDDMIN_AUDIT_LEVEL  default audit tier (analysis/audit)
 ///   BDDMIN_TRACE        Chrome-trace output path (telemetry/trace)
 ///   BDDMIN_FAILPOINTS   failpoint arming specs (analysis/failpoint)
-///   BDDMIN_FLIGHT_DUMP  1 = dump every worker's flight-recorder ring
-///                       after a batch (engine/flight)
 ///   BDDMIN_PROGRESS     1 = force the batch --progress line even when
 ///                       stderr is not a terminal (tools/bddmin_cli)
 ///   BDDMIN_SHARD_COST   default shard cost budget for `batch` / `stats`

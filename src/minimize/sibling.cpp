@@ -1,11 +1,8 @@
 #include "minimize/sibling.hpp"
 
-#include <chrono>
-#include <thread>
 #include <unordered_map>
 
 #include "analysis/check.hpp"
-#include "analysis/failpoint.hpp"
 #include "telemetry/profile.hpp"
 
 namespace bddmin::minimize {
@@ -86,22 +83,6 @@ Edge constrain(Manager& mgr, Edge f, Edge c) {
   return generic_td(mgr, {Criterion::kOsdm, false, false}, f, c);
 }
 Edge restrict_dc(Manager& mgr, Edge f, Edge c) {
-  // The two minimize-layer failpoints live at the entry of the paper's
-  // baseline heuristic: a budget trip and a cooperative hang, both before
-  // any work so the abort trivially honours the strong guarantee.
-  if (BDDMIN_FAILPOINT("minimize_deadline")) {
-    throw Deadline(0.0);
-  }
-  if (const auto hit = BDDMIN_FAILPOINT("minimize_hang")) {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(hit.value);
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (mgr.governor().abort_requested()) {
-        throw AbortRequested("watchdog (failpoint: minimize_hang)");
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
   return generic_td(mgr, {Criterion::kOsdm, false, true}, f, c);
 }
 Edge osm_td(Manager& mgr, Edge f, Edge c) {

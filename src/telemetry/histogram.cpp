@@ -60,18 +60,14 @@ void append_histogram_series(std::string* out, const std::string& family,
 std::string histogram_prometheus_text(const GlobalHistograms& g) {
   std::string out;
   out +=
-      "# HELP bddmin_job_latency_ns Per-job wall latency by outcome class "
-      "and attempt\n"
+      "# HELP bddmin_job_latency_ns Per-job wall latency by outcome class\n"
       "# TYPE bddmin_job_latency_ns histogram\n";
   for (std::size_t o = 0; o < kNumOutcomeClasses; ++o) {
-    for (std::size_t a = 0; a < kNumAttemptClasses; ++a) {
-      const HistogramSnapshot s = g.job_latency_at(o, a).snapshot();
-      if (s.count == 0) continue;  // skip empty labelled series
-      std::ostringstream labels;
-      labels << "status=\"" << kOutcomeLabels[o] << "\",attempt=\""
-             << kAttemptLabels[a] << '"';
-      append_histogram_series(&out, "bddmin_job_latency_ns", labels.str(), s);
-    }
+    const HistogramSnapshot s = g.job_latency(o).snapshot();
+    if (s.count == 0) continue;  // skip empty labelled series
+    append_histogram_series(&out, "bddmin_job_latency_ns",
+                            std::string("status=\"") + kOutcomeLabels[o] + '"',
+                            s);
   }
   const auto plain = [&out](const char* family, const char* help,
                             const HistogramSnapshot& s) {

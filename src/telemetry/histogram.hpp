@@ -31,6 +31,7 @@
 /// builds — it is pure and the tests pin its boundaries exactly.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -172,34 +173,23 @@ class Histogram {
 /// Outcome classes of the job-latency family.  Mirrors
 /// engine::JobStatus (telemetry keeps its own label table so the
 /// dependency stays one-way; test_telemetry pins the two in sync).
-inline constexpr std::size_t kNumOutcomeClasses = 6;
+inline constexpr std::size_t kNumOutcomeClasses = 5;
 inline constexpr const char* kOutcomeLabels[kNumOutcomeClasses] = {
-    "ok", "timeout", "cancelled", "error", "resource-limit", "quarantined"};
-
-/// Attempt classes: first run, first retry, anything later.
-inline constexpr std::size_t kNumAttemptClasses = 3;
-inline constexpr const char* kAttemptLabels[kNumAttemptClasses] = {"1", "2",
-                                                                   "3+"};
+    "ok", "timeout", "cancelled", "error", "resource-limit"};
 
 /// The process-wide histogram bank the batch engine records into
-/// (analogous to GlobalCounters): per-job wall latency by outcome class
-/// and attempt, per-job governor steps, steal-search latency and the
+/// (analogous to GlobalCounters): per-job wall latency by outcome class,
+/// per-job governor steps, steal-search latency and the
 /// sampled run-queue depth.  Never destroyed.
 class GlobalHistograms {
  public:
-  /// Job latency (ns) for \p outcome (engine::JobStatus cast; clamped)
-  /// on attempt \p attempt (1-based; 3 and above share a class).
-  [[nodiscard]] Histogram& job_latency(unsigned outcome,
-                                       unsigned attempt) noexcept {
-    const std::size_t o =
-        outcome < kNumOutcomeClasses ? outcome : kNumOutcomeClasses - 1;
-    const std::size_t a = attempt <= 1 ? 0 : (attempt == 2 ? 1 : 2);
-    return job_latency_[o][a];
+  /// Job latency (ns) for \p outcome (engine::JobStatus cast; clamped).
+  [[nodiscard]] Histogram& job_latency(std::size_t outcome) noexcept {
+    return job_latency_[std::min(outcome, kNumOutcomeClasses - 1)];
   }
-  [[nodiscard]] const Histogram& job_latency_at(std::size_t outcome,
-                                                std::size_t attempt) const
+  [[nodiscard]] const Histogram& job_latency(std::size_t outcome) const
       noexcept {
-    return job_latency_[outcome][attempt];
+    return job_latency_[std::min(outcome, kNumOutcomeClasses - 1)];
   }
   /// Governor steps charged per job (deterministic per payload).
   [[nodiscard]] Histogram& job_steps() noexcept { return job_steps_; }
@@ -229,9 +219,7 @@ class GlobalHistograms {
   }
 
   void reset() noexcept {
-    for (auto& row : job_latency_) {
-      for (Histogram& h : row) h.reset();
-    }
+    for (Histogram& h : job_latency_) h.reset();
     job_steps_.reset();
     steal_search_.reset();
     queue_depth_.reset();
@@ -240,7 +228,7 @@ class GlobalHistograms {
   }
 
  private:
-  Histogram job_latency_[kNumOutcomeClasses][kNumAttemptClasses];
+  Histogram job_latency_[kNumOutcomeClasses];
   Histogram job_steps_;
   Histogram steal_search_;
   Histogram queue_depth_;
@@ -262,7 +250,7 @@ void append_histogram_series(std::string* out, const std::string& family,
                              const HistogramSnapshot& s);
 
 /// Prometheus text exposition of every well-known global histogram:
-/// `bddmin_job_latency_ns{status=...,attempt=...}` (non-empty series
+/// `bddmin_job_latency_ns{status=...}` (non-empty series
 /// only), `bddmin_job_steps`, `bddmin_steal_search_ns`,
 /// `bddmin_queue_depth` (always emitted, so scrapers see the families
 /// even before the first batch).

@@ -86,8 +86,6 @@ TEST(JournalCodec, OutcomeRoundTripsExactly) {
   o.peak_live = 123;
   o.worker = 2;
   o.seconds = 0.1;
-  o.attempts = 3;
-  o.retry_reason = "out-of-memory";
   for (std::size_t i = 0; i < o.counters.values.size(); ++i) {
     o.counters.values[i] = i * 1000003u;
   }
@@ -105,14 +103,27 @@ TEST(JournalCodec, OutcomeRoundTripsExactly) {
   EXPECT_EQ(b.detail, o.detail);
   EXPECT_EQ(b.c_onset, o.c_onset);  // exact: %.17g round-trips doubles
   EXPECT_EQ(b.seconds, o.seconds);
-  EXPECT_EQ(b.attempts, o.attempts);
-  EXPECT_EQ(b.retry_reason, o.retry_reason);
   EXPECT_EQ(b.counters.values, o.counters.values);
   ASSERT_EQ(b.results.size(), o.results.size());
   EXPECT_EQ(b.results[0].size, o.results[0].size);
   EXPECT_EQ(b.results[0].seconds, o.results[0].seconds);
   EXPECT_EQ(b.results[1].phases.phases[0].steps, 42u);
   EXPECT_EQ(b.results[1].phases.phases[0].seconds, 1e-9);
+}
+
+TEST(JournalCodec, StatusPastResourceLimitIsRejected) {
+  JobOutcome o;
+  o.name = "a";
+  o.num_vars = 2;
+  o.status = engine::JobStatus::kResourceLimit;  // the highest status, 4
+  const std::string payload = engine::encode_outcome_record(o);
+  ASSERT_EQ(payload.rfind("a,2,4,", 0), 0u) << payload;
+  EXPECT_EQ(engine::decode_outcome_record(payload).status, o.status);
+  // One past the last status is a malformed record, not a new status.
+  std::string bad = payload;
+  bad[4] = '5';
+  EXPECT_THROW(static_cast<void>(engine::decode_outcome_record(bad)),
+               std::invalid_argument);
 }
 
 TEST(JournalCodec, Crc32MatchesKnownVectors) {
@@ -208,11 +219,20 @@ TEST(JournalRecovery, DuplicateCompletionFirstWins) {
 TEST(JournalRecovery, VersionMismatchHeaderIsFatal) {
   const std::string path = temp_path("vers.wal");
   std::string text = two_job_journal(path);
-  const std::size_t v = text.find("v1");
+  // A v1 journal (whose completion records carried retry columns) must
+  // fail on its header, not have every record set aside as malformed.
+  const std::size_t v = text.find("v2");
   ASSERT_NE(v, std::string::npos);
-  text[v + 1] = '2';
+  text[v + 1] = '1';
   write_file(path, text);
-  EXPECT_THROW(static_cast<void>(engine::read_journal(path)), JournalError);
+  try {
+    static_cast<void>(engine::read_journal(path));
+    ADD_FAILURE() << "v1 header accepted";
+  } catch (const JournalError& e) {
+    EXPECT_NE(std::string(e.what()).find("unrecognized header"),
+              std::string::npos)
+        << e.what();
+  }
   write_file(path, "");
   EXPECT_THROW(static_cast<void>(engine::read_journal(path)), JournalError);
   std::remove(path.c_str());

@@ -463,17 +463,18 @@ TEST(Histogram, PrometheusFamilyRendering) {
     EXPECT_NE(families.find(needle), std::string::npos) << needle;
   }
   // Labelled latency series appear once recorded into.
-  bank.job_latency(0, 1).record(42);
-  bank.job_latency(5, 7).record(7);  // outcome 5, attempt clamps to "3+"
+  bank.job_latency(0).record(42);
+  bank.job_latency(7).record(7);  // out-of-range outcome clamps to the last
   const std::string after = histogram_prometheus_text(bank);
   const std::uint64_t b42 = histogram_bucket_upper(histogram_bucket_index(42));
-  EXPECT_NE(after.find("bddmin_job_latency_ns_bucket{status=\"ok\","
-                       "attempt=\"1\",le=\"" +
+  EXPECT_NE(after.find("bddmin_job_latency_ns_bucket{status=\"ok\",le=\"" +
                        std::to_string(b42) + "\"} 1"),
             std::string::npos)
       << after;
-  EXPECT_NE(after.find("status=\"quarantined\",attempt=\"3+\""),
-            std::string::npos);
+  EXPECT_NE(after.find("bddmin_job_latency_ns_count{status=\"resource-limit\"} 1"),
+            std::string::npos)
+      << after;
+  EXPECT_EQ(after.find("attempt="), std::string::npos);
 }
 
 TEST(Histogram, CompileOutIsANoOp) {
@@ -498,6 +499,8 @@ TEST(Histogram, CompileOutIsANoOp) {
 TEST(Histogram, OutcomeLabelTableMatchesEngineStatusNames) {
   // telemetry keeps its own copy of the outcome labels so the
   // dependency stays one-way; this is the pin that keeps them in sync.
+  EXPECT_EQ(kNumOutcomeClasses,
+            static_cast<std::size_t>(engine::JobStatus::kResourceLimit) + 1);
   for (std::size_t s = 0; s < kNumOutcomeClasses; ++s) {
     EXPECT_STREQ(kOutcomeLabels[s],
                  engine::job_status_name(static_cast<engine::JobStatus>(s)))
@@ -514,10 +517,7 @@ TEST(Global, ProcessWideHistogramsAccumulateBatchLatencies) {
   const engine::BatchReport report = engine::run_batch(jobs, opts);
   // Every final outcome records one latency sample into the global bank
   // (all ok on this tiny clean batch) and one governor-steps sample.
-  HistogramSnapshot latency;
-  for (std::size_t a = 0; a < kNumAttemptClasses; ++a) {
-    latency += histograms().job_latency_at(0, a).snapshot();
-  }
+  const HistogramSnapshot latency = histograms().job_latency(0).snapshot();
   EXPECT_EQ(latency.count, report.outcomes.size() - report.duplicate_jobs);
   EXPECT_EQ(histograms().job_steps().snapshot().count, latency.count);
   // The per-run metrics block carries the same distributions.

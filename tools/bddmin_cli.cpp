@@ -35,8 +35,7 @@
 ///                  [--audit-level L] [--timeout-ms M] [--lower-bound]
 ///                  [--node-limit N] [--step-limit N]
 ///                  [--fallback-heuristic NAME] [--csv PATH] [--timings]
-///                  [--max-retries N] [--backoff-ms N] [--hang-timeout-ms N]
-///                  [--attempts] [--journal PATH] [--resume]
+///                  [--journal PATH] [--resume]
 ///                  [--progress] [--metrics PATH] [--shard-cost C]
 ///                  [--no-shard] [--journal-group-commit]
 ///     Shard a set of minimization jobs across a worker pool (each worker
@@ -51,17 +50,12 @@
 ///     The CSV is byte-identical for any --threads value; --timings
 ///     appends the non-deterministic timing columns and --counters the
 ///     deterministic telemetry counter / phase-step columns.
-///     Resilience (docs/ROBUSTNESS.md): --max-retries re-runs jobs with a
-///     transient failure class, backing off --backoff-ms * 2^k with
-///     deterministic jitter; --hang-timeout-ms starts a watchdog that
-///     cancels (and retries or quarantines) a stuck job; --attempts
-///     appends the `attempts`/`retry_reason` CSV columns.  --journal PATH
-///     keeps a checksummed write-ahead journal of the batch; after a
+///     Resilience (docs/ROBUSTNESS.md): --journal PATH keeps a checksummed write-ahead journal of the batch; after a
 ///     crash, `--journal PATH --resume` re-runs only the incomplete jobs
 ///     and produces a CSV byte-identical to an uninterrupted run.
 ///     Observability (docs/OBSERVABILITY.md): --progress keeps a single
-///     self-overwriting status line on stderr (done/total, ok/fail/
-///     quarantined, jobs/s, ETA), refreshed at most every 500 ms; it is
+///     self-overwriting status line on stderr (done/total, ok/fail,
+///     jobs/s, ETA), refreshed at most every 500 ms; it is
 ///     suppressed when stderr is not a terminal (BDDMIN_PROGRESS=1
 ///     forces it on) and never touches stdout or the CSV.  --metrics
 ///     PATH writes the run's scheduler metrics — p50/p90/p99 job
@@ -92,7 +86,7 @@
 ///     process-wide telemetry counters as Prometheus text exposition —
 ///     unique-table inserts/hits, computed-cache hits/misses per op
 ///     class, GC work, sift swaps and governor steps — followed by the
-///     histogram families (job latency by outcome/attempt, governor
+///     histogram families (job latency by outcome, governor
 ///     steps, steal-search latency, queue depth).  Set
 ///     BDDMIN_TRACE=<file> to also capture a Chrome trace of the run.
 ///
@@ -115,7 +109,7 @@
 /// Exit codes: 0 every job ok; 3 at least one job errored (genuine bug;
 /// for `stress`: an invariant failed, or --replay/--expect-failure did
 /// not reproduce); 4 no errors but some jobs degraded (resource-limit,
-/// timeout, cancelled or quarantined); 1 usage / I/O problems.
+/// timeout or cancelled); 1 usage / I/O problems.
 /// ```
 #include <unistd.h>
 
@@ -446,12 +440,6 @@ engine::EngineOptions batch_options(int argc, char** argv) {
   if (const char* name = flag_value(argc, argv, "--fallback-heuristic")) {
     opts.fallback_heuristic = name;
   }
-  opts.max_retries =
-      static_cast<unsigned>(int_flag(argc, argv, "--max-retries", 0));
-  opts.backoff_ms =
-      static_cast<unsigned>(int_flag(argc, argv, "--backoff-ms", 0));
-  opts.hang_timeout_seconds =
-      int_flag(argc, argv, "--hang-timeout-ms", 0) / 1000.0;
   // Sharding defaults ON at the CLI (the library default is off so
   // embedders opt in); precedence is flag > environment > default.
   opts.shard_cost =
@@ -556,8 +544,7 @@ std::string metrics_json(const engine::BatchReport& report) {
 
 int batch_exit_code(const engine::BatchReport& report) {
   // 0: every job clean.  3: at least one genuine bug.  4: no bugs, but
-  // some jobs degraded (resource-limit / timeout / cancelled /
-  // quarantined-by-the-watchdog).
+  // some jobs degraded (resource-limit / timeout / cancelled).
   if (report.count(engine::JobStatus::kError) > 0) return 3;
   return report.count(engine::JobStatus::kOk) == report.outcomes.size() ? 0 : 4;
 }
@@ -605,20 +592,17 @@ int cmd_batch(int argc, char** argv) {
               report.outcomes.size(), report.names.size(),
               report.num_threads, report.wall_seconds);
   std::printf(
-      "status: ok=%zu timeout=%zu cancelled=%zu error=%zu resource-limit=%zu"
-      " quarantined=%zu\n",
+      "status: ok=%zu timeout=%zu cancelled=%zu error=%zu resource-limit=%zu\n",
       report.count(engine::JobStatus::kOk),
       report.count(engine::JobStatus::kTimeout),
       report.count(engine::JobStatus::kCancelled),
       report.count(engine::JobStatus::kError),
-      report.count(engine::JobStatus::kResourceLimit),
-      report.count(engine::JobStatus::kQuarantined));
+      report.count(engine::JobStatus::kResourceLimit));
   std::printf("nodes: f=%zu best=%zu peak_live=%zu\n", total_f, total_min,
               peak_live);
   const std::string csv =
       engine::report_csv(report, has_flag(argc, argv, "--timings"),
-                         has_flag(argc, argv, "--counters"),
-                         has_flag(argc, argv, "--attempts"));
+                         has_flag(argc, argv, "--counters"));
   if (const char* path = flag_value(argc, argv, "--csv")) {
     if (!harness::write_text_file(path, csv)) {
       std::fprintf(stderr, "cannot write %s\n", path);
@@ -781,8 +765,6 @@ int main(int argc, char** argv) {
                " [--node-limit N] [--step-limit N]\n"
                "                   [--fallback-heuristic NAME]"
                " [--csv PATH] [--timings] [--counters]\n"
-               "                   [--max-retries N] [--backoff-ms N]"
-               " [--hang-timeout-ms N] [--attempts]\n"
                "                   [--journal PATH] [--resume] [--progress]"
                " [--metrics PATH]\n"
                "                   [--shard-cost C] [--no-shard]"

@@ -11,7 +11,7 @@ Checks (mirrors bddmin::telemetry::validate_trace, plus CI-side extras):
     (proves the per-worker tracks are actually populated)
   * with --summary: per-track totals — top-level span time, span/instant/
     counter event counts — plus per-counter sample ranges (the queue-depth
-    drain curve at a glance) and flight-recorder dump markers
+    drain curve at a glance)
 
 Exit status 0 on a valid trace, 1 otherwise (message on stderr).
 """
@@ -55,7 +55,6 @@ def main() -> int:
     instants_by_track = {}
     counters_by_track = {}
     counter_samples = {}  # counter name -> list of values
-    dump_markers = 0
     instants = 0
     for i, ev in enumerate(events):
         if not isinstance(ev, dict):
@@ -76,8 +75,6 @@ def main() -> int:
         if ph == "i":
             instants += 1
             instants_by_track[track] = instants_by_track.get(track, 0) + 1
-            if ev["name"] == "flight_dump":
-                dump_markers += 1
             continue
         if ph == "C":
             cargs = ev.get("args")
@@ -142,8 +139,6 @@ def main() -> int:
             values = counter_samples[cname]
             print(f"counter {cname!r}: {len(values)} samples, "
                   f"min={min(values)} max={max(values)} last={values[-1]}")
-        if dump_markers:
-            print(f"flight-recorder dump markers: {dump_markers}")
     return 0
 
 
