@@ -8,8 +8,8 @@
 /// refactor depends on:
 ///
 ///  * every mutex-guarded field declares its mutex with
-///    `BDDMIN_GUARDED_BY(mu)` — the work-stealing deques, the engine's
-///    result sink, the tracer's per-thread logs and registry;
+///    `BDDMIN_GUARDED_BY(mu)` — the work-stealing deques and the engine's
+///    result sink;
 ///  * functions that must (or must not) hold a mutex say so with
 ///    `BDDMIN_REQUIRES` / `BDDMIN_EXCLUDES`;
 ///  * `bdd::Manager` is declared a `BDDMIN_CAPABILITY` — a single-owner

@@ -23,7 +23,6 @@
 #include "harness/env.hpp"
 #include "minimize/lower_bound.hpp"
 #include "telemetry/histogram.hpp"
-#include "telemetry/trace.hpp"
 
 namespace bddmin::engine {
 namespace {
@@ -279,7 +278,6 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
       // attributed to a phase (default cover-build; matching and
       // validation sections switch explicitly).  The `break`s below exit
       // through this block, flushing the tail into `profile`.
-      const telemetry::TraceScope span(heuristics[h].name, "heuristic");
       const telemetry::ProfileCollector collect(mgr, &profile);
       try {
         g = run_budgeted(mgr, heuristics[h], heuristic_budget(opts, job_start),
@@ -315,7 +313,6 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
       covers.emplace_back(mgr, g);
       {
         const telemetry::PhaseScope vphase(telemetry::Phase::kValidation);
-        const telemetry::TraceScope vspan("validate", "engine");
         if (opts.audit_level >= analysis::AuditLevel::kCover) {
           analysis::AuditReport cover_report;
           analysis::audit_cover(mgr, spec.f, spec.c, g, heuristics[h].name,
@@ -409,9 +406,7 @@ void worker_loop(WorkStealingQueue& queue, std::span<const Job> jobs,
     }
     if constexpr (telemetry::kHistogramsEnabled) {
       if (++stats.pops % kDepthSampleEvery == 0) {
-        const std::size_t depth = queue.approx_depth();
-        ctx.instruments->queue_depth.record(depth);
-        telemetry::trace_counter("queue_depth", "engine", depth);
+        ctx.instruments->queue_depth.record(queue.approx_depth());
       }
     }
     // Whether the *next* job in this shard may start warm: the previous
@@ -421,8 +416,6 @@ void worker_loop(WorkStealingQueue& queue, std::span<const Job> jobs,
     bool warm_ready = false;
     for (std::uint32_t j = 0; j < shard.count; ++j) {
       const std::size_t index = (*ctx.to_run)[shard.first + j];
-      const telemetry::TraceScope span(std::string("job:") + jobs[index].name,
-                                       "engine");
       JobOutcome outcome;
       const std::uint64_t busy_start = stat_now_ns();
       // The node watermark bounds table garbage across a long shard.
@@ -658,7 +651,6 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
     // Anchor the depth histogram with the fully seeded backlog so the
     // drain curve has a defined starting point even for tiny batches.
     instruments.queue_depth.record(plan.size());
-    telemetry::trace_counter("queue_depth", "engine", plan.size());
     for (const Shard& s : plan.shards) {
       instruments.shard_jobs.record(s.count);
       instruments.shard_cost.record(s.cost);
@@ -711,12 +703,10 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
     });
   }
   {
-    const telemetry::TraceScope batch_span("run_batch", "engine");
     std::vector<std::thread> pool;
     pool.reserve(threads);
     for (unsigned w = 0; w < threads; ++w) {
       pool.emplace_back([&, w] {
-        telemetry::Tracer::set_thread_name("worker-" + std::to_string(w));
         const WorkerContext ctx{&effective, &heuristics, fallback,    w,
                                 journal.get(), &wstats[w], &instruments,
                                 &to_run,       &plan,      warm_capable};

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "analysis/thread_annotations.hpp"
-#include "telemetry/trace.hpp"
 
 namespace bddmin::engine {
 
@@ -89,7 +88,6 @@ class WorkStealingQueue {
         *out = d.items.back();
         d.items.pop_back();
         d.size.store(d.items.size(), std::memory_order_relaxed);
-        telemetry::trace_instant("steal", "engine");
         if (outcome != nullptr) outcome->stolen = true;
         return true;
       }

@@ -8,7 +8,6 @@
 ///   BDDMIN_NODE_LIMIT   default per-job node quota (engine)
 ///   BDDMIN_STEP_LIMIT   default per-job step budget (engine)
 ///   BDDMIN_AUDIT_LEVEL  default audit tier (analysis/audit)
-///   BDDMIN_TRACE        Chrome-trace output path (telemetry/trace)
 ///   BDDMIN_FAILPOINTS   failpoint arming specs (analysis/failpoint)
 ///   BDDMIN_PROGRESS     1 = force the batch --progress line even when
 ///                       stderr is not a terminal (tools/bddmin_cli)

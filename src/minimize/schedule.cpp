@@ -1,9 +1,6 @@
 #include "minimize/schedule.hpp"
 
 #include <algorithm>
-#include <string>
-
-#include "telemetry/trace.hpp"
 
 namespace bddmin::minimize {
 
@@ -21,10 +18,6 @@ Edge scheduled_minimize(Manager& mgr, const ScheduleOptions& opts, Edge f,
       return constrain(mgr, spec.f, spec.c);
     }
     const std::uint32_t hi = std::min(initial_level + window - 1, n - 1);
-    const telemetry::TraceScope round(
-        "window[" + std::to_string(initial_level) + "," + std::to_string(hi) +
-            "]",
-        "schedule");
     // Steps 2-3: sibling matching, safer criterion first.
     spec = sibling_window_pass(mgr, Criterion::kOsm, initial_level, hi, spec);
     spec = sibling_window_pass(mgr, Criterion::kTsm, initial_level, hi, spec);

@@ -85,7 +85,7 @@ class StressContext;  // runner.hpp: per-thread execution context
 /// means "no per-state hook".
 ///
 /// Lint rule R6 (tools/bddmin_lint.py): neither function may hold a
-/// TraceScope/PhaseScope or a lock across a cross-thread wait (join /
+/// PhaseScope or a lock across a cross-thread wait (join /
 /// condition-variable wait) — park the scope before blocking.
 struct StressState {
   std::string name;

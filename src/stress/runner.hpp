@@ -8,7 +8,7 @@
 /// that state are both derived from counter-based seeds
 /// (`derive_seed(seed, T, K, salt)`), never from a shared stream — so the
 /// threads interleave freely (that is the point: the shared pieces —
-/// engine pools, global counters, the tracer — get hammered concurrently,
+/// engine pools, global counters, histograms — get hammered concurrently,
 /// with ASan/TSan watching) while every *thread-local* observation stays
 /// reproducible.
 ///

@@ -27,7 +27,6 @@
 #include "stress/runner.hpp"
 #include "telemetry/counters.hpp"
 #include "telemetry/histogram.hpp"
-#include "telemetry/trace.hpp"
 
 namespace bddmin::stress {
 namespace {
@@ -276,7 +275,7 @@ void run_dedup_replay(StressContext& ctx) {
 
 /// Cancel a running batch from a helper thread.  Statuses are wall-clock
 /// dependent — validated, never digested.  Note the shape: the join below
-/// happens with no TraceScope or lock held (lint rule R6).
+/// happens with no PhaseScope or lock held (lint rule R6).
 void run_cancel_mid_run(StressContext& ctx) {
   StepRng& rng = ctx.rng();
   const std::vector<engine::Job> jobs =
@@ -366,7 +365,7 @@ void run_shard_sweep(StressContext& ctx) {
 /// (whole undrained shards included) reports kCancelled, and nothing is
 /// lost or run twice.  Statuses are wall-clock dependent — validated,
 /// never digested.  Same R6 shape as run_cancel_mid_run: the join
-/// happens with no TraceScope or lock held.
+/// happens with no PhaseScope or lock held.
 void run_shard_cancel(StressContext& ctx) {
   StepRng& rng = ctx.rng();
   const std::vector<engine::Job> jobs =
@@ -435,14 +434,6 @@ void run_counter_scrape(StressContext& ctx) {
   ctx.refill_pool();
   ctx.note_u64(ctx.manager().telemetry().value(
       telemetry::Counter::kUniqueInserts));
-}
-
-/// Hammer the tracer's lock-free active() check from every thread; a
-/// no-op unless a trace is running, but TSan watches the atomics.
-void run_trace_instant(StressContext& ctx) {
-  telemetry::trace_instant("stress-tick", "stress");
-  ctx.refill_pool();
-  ctx.note_u64(ctx.pool().size());
 }
 
 /// Record seeded values into the process-global histogram bank from
@@ -757,12 +748,11 @@ StressFsm make_governor() {
 StressFsm make_telemetry() {
   return build_hub(
       "telemetry",
-      "counter cross-checks, scrape format, trace instants",
+      "counter cross-checks, counter and histogram scrape format",
       {{"build-ops", run_build_ops, inv_pool_audit, 2.0},
        {"counter-delta", run_counter_delta, inv_scratch, 2.0},
        {"counter-scrape", run_counter_scrape, inv_scratch, 2.0},
        {"histogram-scrape", run_histogram_scrape, inv_scratch, 2.0},
-       {"trace-instant", run_trace_instant, inv_pool_audit, 1.0},
        {"audit", run_audit_deep, inv_scratch, 1.0}});
 }
 
@@ -789,7 +779,6 @@ StressFsm make_mixed() {
   b.state("counter-delta", run_counter_delta, inv_scratch);
   b.state("counter-scrape", run_counter_scrape, inv_scratch);
   b.state("histogram-scrape", run_histogram_scrape, inv_scratch);
-  b.state("trace-instant", run_trace_instant, inv_pool_audit);
   b.start("build-ops");
   return b.build();
 }

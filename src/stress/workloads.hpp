@@ -10,8 +10,8 @@
 ///               mid-shard cancellation, timeout storms
 ///   governor  — effort limits: quota-exhaust aborts, sifting under a node
 ///               quota, degraded batches, abort -> reset -> reuse cycles
-///   telemetry — counter cross-checks, Prometheus scrape shape, trace
-///               instants, per-manager counter determinism
+///   telemetry — counter cross-checks, Prometheus scrape shape,
+///               per-manager counter determinism
 ///   mixed     — the union of the above, uniform transitions
 ///   faults    — the PR-1 5-class fault injector wired to an audit hook:
 ///               running it is EXPECTED to fail (the failure proves the

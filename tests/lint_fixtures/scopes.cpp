@@ -39,10 +39,10 @@ void pinned_edge(Mgr& mgr) {
 
 void discarded_scopes() {
   // VIOLATION R5 (line 42): temporary destructs before the next statement.
-  telemetry::TraceScope("span", "fixture");
-  // VIOLATION R5 (line 44): same mistake with a phase marker.
+  telemetry::PhaseScope(telemetry::Phase::kMatching);
+  // VIOLATION R5 (line 44): same mistake without the namespace.
   PhaseScope(telemetry::Phase::kValidation);
-  const telemetry::TraceScope named("span", "fixture");  // compliant
+  const telemetry::PhaseScope named(telemetry::Phase::kMatching);  // compliant
   (void)named;
 }
 

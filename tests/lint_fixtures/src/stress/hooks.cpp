@@ -1,4 +1,4 @@
-// Lint fixture (never compiled): seeds R6 — a TraceScope or mutex lock
+// Lint fixture (never compiled): seeds R6 — a PhaseScope or mutex lock
 // held across a cross-thread wait inside stress-harness code.  The path
 // contains "src/stress/" so the rule applies here and nowhere else in the
 // fixture corpus.  Expected findings are asserted line-exactly by
@@ -15,8 +15,8 @@ void lock_across_join(std::thread& helper, std::mutex& mu) {
 }
 
 void scope_across_wait(std::thread& helper) {
-  telemetry::TraceScope span("invariant-hook", "stress");
-  // VIOLATION R6 (line 20): the tracer scope outlives the join.
+  telemetry::PhaseScope phase(telemetry::Phase::kValidation);
+  // VIOLATION R6 (line 20): the phase scope outlives the join.
   helper.join();
 }
 

@@ -181,12 +181,12 @@ TEST(EnvParsing, U64FallbackAndStrictness) {
 }
 
 TEST(EnvParsing, StringCopiesTheValueOut) {
-  setenv("BDDMIN_TRACE", "/tmp/x.json", 1);
-  const auto v = harness::env_string("BDDMIN_TRACE");
+  setenv("BDDMIN_FAILPOINTS", "job_decode_corrupt:once", 1);
+  const auto v = harness::env_string("BDDMIN_FAILPOINTS");
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, "/tmp/x.json");
-  unsetenv("BDDMIN_TRACE");
-  EXPECT_FALSE(harness::env_string("BDDMIN_TRACE").has_value());
+  EXPECT_EQ(*v, "job_decode_corrupt:once");
+  unsetenv("BDDMIN_FAILPOINTS");
+  EXPECT_FALSE(harness::env_string("BDDMIN_FAILPOINTS").has_value());
 }
 
 // ---- Engine resilience under injected faults ----------------------------

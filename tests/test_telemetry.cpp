@@ -1,15 +1,13 @@
 /// \file test_telemetry.cpp
 /// \brief Telemetry subsystem: counter semantics against known workloads,
-/// span-trace round trips, per-phase profiles, the counter CSV columns'
-/// thread-count determinism, and the Prometheus exposition.
+/// per-phase profiles, the counter CSV columns' thread-count determinism,
+/// and the Prometheus exposition.
 #include "telemetry/counters.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
 #include <random>
-#include <sstream>
 #include <thread>
 
 #include "analysis/audit.hpp"
@@ -21,7 +19,6 @@
 #include "minimize/sibling.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/profile.hpp"
-#include "telemetry/trace.hpp"
 #include "workload/instances.hpp"
 
 namespace bddmin::telemetry {
@@ -181,85 +178,6 @@ TEST(Profile, WithProfileWrapperAccumulates) {
   mgr.garbage_collect();  // flush caches so the rerun repeats the work
   (void)h.run(mgr, spec.f, spec.c);
   EXPECT_GT(profile.total_steps(), first);  // calls accumulate
-}
-
-TEST(Trace, RoundTripIsValidAndThreadAware) {
-  const std::string path = testing::TempDir() + "bddmin_trace_test.json";
-  ASSERT_TRUE(Tracer::start(path));
-  Tracer::set_thread_name("test-main");
-  {
-    const TraceScope outer("outer", "test");
-    {
-      const TraceScope inner("inner", "test");
-    }
-    trace_instant("tick", "test");
-  }
-  std::thread worker([] {
-    Tracer::set_thread_name("test-worker");
-    const TraceScope s("worker-span", "test");
-  });
-  worker.join();
-  ASSERT_EQ(Tracer::stop(), path);
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string json = buffer.str();
-  EXPECT_EQ(validate_trace(json), "");
-  for (const char* needle : {"test-main", "test-worker", "outer", "inner",
-                             "tick", "worker-span", "displayTimeUnit"}) {
-    EXPECT_NE(json.find(needle), std::string::npos) << needle;
-  }
-}
-
-TEST(Trace, RestartWhileWorkersEmitSpansIsRaceFree) {
-  // Regression: Tracer::Impl::generation used to be a plain uint64 read
-  // unlocked by log_for_this_thread() (the cached-log validity check)
-  // while start() incremented it under a different mutex — a data race
-  // TSan flags on any stop()/start() cycle concurrent with tracing
-  // threads.  generation is atomic now; this test drives exactly that
-  // interleaving and must stay clean under -DBDDMIN_SANITIZE=thread.
-  const std::string base = testing::TempDir() + "bddmin_trace_restart";
-  std::atomic<bool> done{false};
-  std::thread worker([&done] {
-    while (!done.load(std::memory_order_relaxed)) {
-      const TraceScope s("restart-span", "test");
-      trace_instant("restart-tick", "test");
-    }
-  });
-  for (int round = 0; round < 50; ++round) {
-    const std::string path = base + std::to_string(round) + ".json";
-    if (Tracer::start(path)) {
-      // A couple of spans on this thread force fresh log registration
-      // against the bumped generation.
-      const TraceScope s("main-span", "test");
-      (void)Tracer::stop();
-    }
-  }
-  done.store(true, std::memory_order_relaxed);
-  worker.join();
-}
-
-TEST(Trace, ValidatorRejectsGarbageAndOverlaps) {
-  EXPECT_NE(validate_trace("not json"), "");
-  EXPECT_NE(validate_trace("{\"traceEvents\":42}"), "");
-  // Two complete events on one tid overlapping without nesting.
-  const std::string overlapping =
-      "{\"traceEvents\":["
-      "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":0,\"dur\":10,"
-      "\"cat\":\"t\",\"name\":\"a\"},"
-      "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":5,\"dur\":10,"
-      "\"cat\":\"t\",\"name\":\"b\"}]}";
-  EXPECT_NE(validate_trace(overlapping), "");
-  // The same two spans properly nested are fine.
-  const std::string nested =
-      "{\"traceEvents\":["
-      "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":0,\"dur\":10,"
-      "\"cat\":\"t\",\"name\":\"a\"},"
-      "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":2,\"dur\":5,"
-      "\"cat\":\"t\",\"name\":\"b\"}]}";
-  EXPECT_EQ(validate_trace(nested), "");
 }
 
 TEST(Engine, CounterColumnsAreByteIdenticalAcrossThreadCounts) {

@@ -60,8 +60,8 @@
 ///     forces it on) and never touches stdout or the CSV.  --metrics
 ///     PATH writes the run's scheduler metrics — p50/p90/p99 job
 ///     latency, per-worker busy/steal/sink/idle decomposition, steal
-///     success rate, sampled queue depth — as JSON for
-///     tools/scaling_report.py.
+///     success rate, sampled queue depth, the host's hardware
+///     concurrency — as JSON for tools/scaling_report.py.
 ///     Sharding (docs/OBSERVABILITY.md): jobs are packed into shards by
 ///     a deterministic cost model and the worker deques dispatch whole
 ///     shards; within a shard the pooled manager is reused warm (no
@@ -87,8 +87,7 @@
 ///     unique-table inserts/hits, computed-cache hits/misses per op
 ///     class, GC work, sift swaps and governor steps — followed by the
 ///     histogram families (job latency by outcome, governor
-///     steps, steal-search latency, queue depth).  Set
-///     BDDMIN_TRACE=<file> to also capture a Chrome trace of the run.
+///     steps, steal-search latency, queue depth).
 ///
 /// bddmin_cli stress [--workload NAME] [--seed S] [--threads T]
 ///                   [--steps K] [--wall-seconds W] [--audit-level L]
@@ -121,6 +120,7 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/audit.hpp"
@@ -478,6 +478,7 @@ void metrics_histogram(harness::JsonWriter& w, const std::string& name,
 /// shard plan plus the scheduler-overhead split: heuristic_seconds is
 /// the summed per-heuristic minimize time, so busy - heuristic is the
 /// per-job fixed cost (decode, reset, governor, validation, delivery).
+/// hardware_concurrency lets the report flag oversubscription on its own.
 std::string metrics_json(const engine::BatchReport& report) {
   const engine::BatchMetrics& m = report.metrics;
   double heuristic_seconds = 0.0;
@@ -495,6 +496,7 @@ std::string metrics_json(const engine::BatchReport& report) {
   w.kv("schema_version", 2);
   w.kv("telemetry_enabled", telemetry::kHistogramsEnabled);
   w.kv("threads", report.num_threads);
+  w.kv("hardware_concurrency", std::thread::hardware_concurrency());
   w.kv("jobs", static_cast<std::uint64_t>(report.outcomes.size()));
   w.kv("wall_seconds", report.wall_seconds);
   w.key("sharding").begin_object();

@@ -17,13 +17,13 @@ Rules (see docs/API.md for the full contract text):
       `reorder_sift*()` call unless it was pinned first (wrapped in a
       `Bdd`, passed to `pin_for_unwind`, or stored into a pinned
       container) — unpinned edges may dangle across reclamation
-  R5  `TraceScope` / `PhaseScope` must be bound to named locals; a
-      discarded temporary destructs immediately and records nothing
-  R6  stress-harness code (src/stress/) must not hold a `TraceScope`,
-      `PhaseScope` or mutex lock across a cross-thread wait (`join()`,
-      `wait()`, `wait_for()`, `wait_until()`) — an invariant hook that
-      blocks while holding the tracer or a lock can deadlock the very
-      schedule it is auditing; release the scope/lock first
+  R5  `PhaseScope` must be bound to a named local; a discarded temporary
+      destructs immediately and records nothing
+  R6  stress-harness code (src/stress/) must not hold a `PhaseScope` or
+      mutex lock across a cross-thread wait (`join()`, `wait()`,
+      `wait_for()`, `wait_until()`) — an invariant hook that blocks while
+      holding a scope or lock can deadlock the very schedule it is
+      auditing; release the scope/lock first
   R7  failpoint hygiene: every `BDDMIN_FAILPOINT("name")` site must name
       an entry of the catalog in src/analysis/failpoint.cpp, each
       catalog name may have at most one site in the tree (a second site
@@ -56,7 +56,7 @@ ALL_RULES = ("R1", "R2", "R3", "R4", "R5", "R6", "R7")
 # Files whose *definitions* legitimately contain the patterns a rule hunts.
 RULE_EXEMPT_FILES = {
     "R3": ("src/analysis/check.hpp",),
-    "R5": ("src/telemetry/trace.hpp", "src/telemetry/profile.hpp"),
+    "R5": ("src/telemetry/profile.hpp",),
 }
 
 # R1 applies to the BDD core only: that is where memoized recursions live
@@ -427,7 +427,7 @@ def check_r4(relpath, body_line, body, findings):
 
 
 SCOPE_TEMP_RE = re.compile(
-    r"(?:^|[;{}])\s*(?:\w[\w:]*::)?(TraceScope|PhaseScope)\s*[({]")
+    r"(?:^|[;{}])\s*(?:\w[\w:]*::)?(PhaseScope)\s*[({]")
 
 
 def check_r5(relpath, clean, findings):
@@ -441,7 +441,7 @@ def check_r5(relpath, clean, findings):
 
 R6_HOLD_DECL_RE = re.compile(
     r"(?:^|[;{}()])\s*(?:const\s+)?(?:\w[\w:]*::)?"
-    r"(TraceScope|PhaseScope|lock_guard|unique_lock|scoped_lock|shared_lock)"
+    r"(PhaseScope|lock_guard|unique_lock|scoped_lock|shared_lock)"
     r"\s*(?:<[^;<>]*>)?\s+(\w+)\s*[({=]")
 R6_WAIT_RE = re.compile(r"[.\->]\s*(join|wait|wait_for|wait_until)\s*\(")
 
@@ -459,7 +459,7 @@ def _depth_at(text, idx):
 def check_r6(relpath, body_line, body, findings):
     """Scope/lock held across a cross-thread wait (stress harness only).
 
-    For each TraceScope/PhaseScope/lock declaration, scan forward to the
+    For each PhaseScope/lock declaration, scan forward to the
     close of its enclosing brace block; a join()/wait*() inside that window
     blocks while the scope or lock is still held.  An explicit `.unlock()`
     on the lock before the wait releases it and is compliant.  Scope-based
@@ -495,7 +495,7 @@ def check_r6(relpath, body_line, body, findings):
             relpath, body_line + line_of(start + wait.start()) - 1, "R6",
             f"{kind} {name!r} is still held across the cross-thread "
             f"{wait.group(1)}() — release the scope/lock (or .unlock()) "
-            "before waiting; a blocked invariant hook holding the tracer "
+            "before waiting; a blocked invariant hook holding a scope "
             "or a lock can deadlock the schedule under audit"))
 
 

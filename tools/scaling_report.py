@@ -1,41 +1,37 @@
 #!/usr/bin/env python3
-"""Diagnose batch-engine scaling from a Chrome trace plus metrics JSON.
+"""Diagnose batch-engine scaling from `bddmin_cli batch --metrics` JSON.
 
-Consumes the artifacts one traced batch run produces:
+Usage:
 
-  * a Chrome trace (BDDMIN_TRACE=trace.json, validated by check_trace.py),
-    whose worker tracks ("worker-0", "worker-1", ...) carry one "job:*"
-    span per job attempt and whose "run_batch" span bounds the batch;
-  * optionally one or more --metrics files (bddmin_cli batch --metrics
-    PATH), for the per-worker busy/steal/sink/idle decomposition, steal
-    success rate, latency percentiles and (schema 2) the shard plan and
-    scheduler-overhead split — given several (one per thread count, or a
-    sharded/unsharded pair), the report compares them;
-  * optionally --bench BENCH_batch.json (schema_version 3), for the
-    measured speedup curve and the host's hardware_concurrency.
+    python3 tools/scaling_report.py --metrics t1.json --metrics t4.json ...
 
-And emits a scaling diagnosis (stdout, plain text):
+Each --metrics file is one batch run (bddmin_cli batch --metrics PATH).
+Give several — one per thread count, or a sharded/unsharded pair — and
+the report compares them.  It prints (stdout, plain text):
 
-  * per-worker busy fraction over the run_batch window,
-  * the measured serial fraction (wall time with <= 1 worker inside a
-    job span) with an Amdahl fit: predicted vs actual speedup per
-    thread count,
-  * steal attempt/success stats and sampled queue-depth range,
-  * a scheduler-overhead section: the per-job fixed cost (busy time not
-    spent inside a heuristic) against the minimize time proper, plus
-    shard-plan stats and, when both a sharded and an unsharded metrics
-    file are given, the wall/overhead deltas between them,
-  * the top-k longest serial sections with the job that was running,
-  * a named bottleneck consistent with the numbers — CPU
-    oversubscription, measured serial fraction, worker starvation
-    (dominant idle/steal state) or per-job scheduler overhead.
+  * per-worker busy/steal/sink/idle fractions, steal stats, latency
+    percentiles and the sampled queue-depth range of every run,
+  * the scheduler-overhead section: the per-job fixed cost (busy time
+    not spent inside a heuristic) against the minimize time proper, the
+    shard plan and, when both a sharded and an unsharded run are given,
+    the wall/overhead deltas between them,
+  * the serial fraction as the Karp–Flatt estimate
+    e = (1/S - 1/p) / (1 - 1/p), where S = wall_1 / wall_p is the
+    speedup of a p-thread run over the fewest-thread run of the same
+    batch (same job count and shard budget; p is the thread ratio),
+  * a diagnosis naming the bottleneck consistent with those numbers —
+    CPU oversubscription (a run's `threads` exceeds its
+    `hardware_concurrency`), serial fraction, worker starvation
+    (dominantly idle workers) or per-job scheduler overhead.
 
-Stdlib only, mirroring check_trace.py.  Exit 0 on success (a diagnosis
-was produced), 1 on unreadable/malformed input.
+Stdlib only.  Exit 0 on success (a diagnosis was produced), 1 on
+unreadable or malformed input.
 """
 import argparse
 import json
 import sys
+
+STATES = ("busy", "steal", "sink", "idle")
 
 
 def fail(msg: str) -> int:
@@ -43,375 +39,222 @@ def fail(msg: str) -> int:
     return 1
 
 
-def load_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def worker_states(m, w):
+    """busy/steal/sink/idle fractions of one worker's share of the wall."""
+    wall = m.get("wall_seconds", 0.0)
+    return {s: (w.get(f"{s}_seconds", 0.0) / wall if wall > 0 else 0.0)
+            for s in STATES}
 
 
-def worker_tracks(events):
-    """Map (pid, tid) -> worker name for tracks named worker-*."""
-    tracks = {}
-    for ev in events:
-        if (ev.get("ph") == "M" and ev.get("name") == "thread_name"
-                and str(ev.get("args", {}).get("name", ""))
-                .startswith("worker-")):
-            tracks[(ev.get("pid"), ev.get("tid"))] = ev["args"]["name"]
-    return tracks
+def is_sharded(m):
+    return bool(m.get("sharding", {}).get("shard_cost_budget", 0))
 
 
-def batch_window(events):
-    """The [start, end) of the outermost run_batch span (us)."""
-    best = None
-    for ev in events:
-        if ev.get("ph") == "X" and ev.get("name") == "run_batch":
-            start = float(ev["ts"])
-            end = start + float(ev.get("dur", 0))
-            if best is None or end - start > best[1] - best[0]:
-                best = (start, end)
-    return best
+def oversubscribed(m):
+    hw = m.get("hardware_concurrency", 0)
+    return bool(hw) and m.get("threads", 0) > hw
 
 
-def busy_intervals(events, tracks, window):
-    """Top-level job spans per worker, clipped to the batch window."""
-    spans = {name: [] for name in tracks.values()}
-    for ev in events:
-        track = (ev.get("pid"), ev.get("tid"))
-        if (ev.get("ph") != "X" or track not in tracks
-                or not str(ev.get("name", "")).startswith("job:")):
-            continue
-        start = float(ev["ts"])
-        end = start + float(ev.get("dur", 0))
-        if window:
-            start = max(start, window[0])
-            end = min(end, window[1])
-        if end > start:
-            spans[tracks[track]].append((start, end, ev["name"][4:]))
-    # Nested retries of one job produce nested job spans; merging per
-    # worker keeps each instant counted once.
-    merged = {}
-    for name, ivs in spans.items():
-        ivs.sort()
-        out = []
-        for start, end, job in ivs:
-            if out and start <= out[-1][1]:
-                out[-1] = (out[-1][0], max(out[-1][1], end), out[-1][2])
-            else:
-                out.append((start, end, job))
-        merged[name] = out
-    return merged
+def karp_flatt(base, run):
+    """(thread ratio p, speedup S, serial fraction e) of `run` over `base`."""
+    p = run["threads"] / base["threads"]
+    speedup = base["wall_seconds"] / run["wall_seconds"]
+    return p, speedup, (1.0 / speedup - 1.0 / p) / (1.0 - 1.0 / p)
 
 
-def concurrency_sweep(merged, window):
-    """Time spent at each busy-worker concurrency level, plus the serial
-    sections (concurrency <= 1) annotated with the running job."""
-    points = []  # (ts, +1/-1, job)
-    for ivs in merged.values():
-        for start, end, job in ivs:
-            points.append((start, 1, job))
-            points.append((end, -1, job))
-    points.sort(key=lambda p: (p[0], -p[1]))
-    time_at = {}
-    serial_sections = []  # (duration, start, jobs active)
-    level = 0
-    active = {}
-    prev = window[0]
-    section_start = window[0]
-    section_jobs = set()
-
-    def close_section(ts):
-        nonlocal section_start, section_jobs
-        if ts > section_start:
-            serial_sections.append(
-                (ts - section_start, section_start,
-                 sorted(section_jobs) or ["<no job running>"]))
-        section_start = ts
-        section_jobs = set()
-
-    for ts, delta, job in points:
-        ts = min(max(ts, window[0]), window[1])
-        if ts > prev:
-            time_at[level] = time_at.get(level, 0.0) + (ts - prev)
-        if level <= 1 and ts > prev:
-            section_jobs.update(active)
-        was_serial = level <= 1
-        if delta > 0:
-            active[job] = active.get(job, 0) + 1
-        else:
-            active[job] = active.get(job, 1) - 1
-            if active[job] <= 0:
-                del active[job]
-        level += delta
-        now_serial = level <= 1
-        if was_serial and not now_serial:
-            close_section(ts)
-        elif not was_serial and now_serial:
-            section_start = ts
-            section_jobs = set(active)
-        prev = ts
-    if prev < window[1]:
-        time_at[level] = time_at.get(level, 0.0) + (window[1] - prev)
-        if level <= 1:
-            section_jobs.update(active)
-    if level <= 1:
-        close_section(window[1])
-    serial_sections.sort(reverse=True)
-    return time_at, serial_sections
-
-
-def amdahl(serial_fraction, n):
-    return 1.0 / (serial_fraction + (1.0 - serial_fraction) / n)
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("trace", help="Chrome trace JSON of a batch run")
-    parser.add_argument("--metrics", action="append", default=[],
-                        metavar="PATH",
-                        help="metrics JSON from bddmin_cli batch --metrics "
-                             "(repeatable: one per thread count)")
-    parser.add_argument("--bench", metavar="PATH",
-                        help="BENCH_batch.json for the speedup curve")
-    parser.add_argument("--top", type=int, default=5, metavar="K",
-                        help="serial sections to list (default: 5)")
-    args = parser.parse_args()
-
-    try:
-        doc = load_json(args.trace)
-    except (OSError, json.JSONDecodeError) as e:
-        return fail(f"cannot load {args.trace}: {e}")
-    events = doc.get("traceEvents")
-    if not isinstance(events, list) or not events:
-        return fail('"traceEvents" missing or empty')
-
-    tracks = worker_tracks(events)
-    if not tracks:
-        return fail("no worker-* tracks — was the trace taken on a batch "
-                    "run with BDDMIN_TRACE set?")
-    window = batch_window(events)
-    if window is None:
-        return fail('no "run_batch" span in the trace')
-    wall_us = window[1] - window[0]
-    if wall_us <= 0:
-        return fail("empty run_batch window")
-
-    merged = busy_intervals(events, tracks, window)
-    num_workers = len(tracks)
-    print(f"scaling report: {num_workers} worker(s), "
-          f"batch window {wall_us / 1e6:.3f}s")
-    print()
-    print("per-worker busy fraction (trace job spans / batch window):")
-    total_busy = 0.0
-    for name in sorted(merged, key=lambda n: int(n.split("-")[1])):
-        busy = sum(end - start for start, end, _ in merged[name])
-        total_busy += busy
-        jobs = len(merged[name])
-        print(f"  {name:<10} busy={busy / wall_us:6.1%}  "
-              f"job_spans={jobs}")
-    avg_busy = total_busy / (wall_us * num_workers)
-    print(f"  aggregate   busy={avg_busy:6.1%} of {num_workers} worker(s)")
-
-    time_at, serial_sections = concurrency_sweep(merged, window)
-    serial_us = sum(t for lvl, t in time_at.items() if lvl <= 1)
-    serial_fraction = serial_us / wall_us
-    print()
-    print("concurrency profile (share of batch window at each busy-worker "
-          "count):")
-    for lvl in sorted(time_at):
-        print(f"  {lvl} busy: {time_at[lvl] / wall_us:6.1%}")
-    print(f"measured serial fraction (<= 1 busy): {serial_fraction:.1%}")
-
-    # Amdahl fit against the actual speedup curve, when available.
-    bench = None
-    if args.bench:
-        try:
-            bench = load_json(args.bench)
-        except (OSError, json.JSONDecodeError) as e:
-            return fail(f"cannot load {args.bench}: {e}")
-        print()
-        print("Amdahl fit (serial fraction from the trace) vs measured:")
-        print(f"  {'threads':>8} {'predicted':>10} {'actual':>10}")
-        for run in bench.get("runs", []):
-            n = run.get("threads", 1)
-            predicted = amdahl(serial_fraction, max(1, n))
-            print(f"  {n:>8} {predicted:>9.2f}x "
-                  f"{run.get('speedup', 0.0):>9.2f}x")
-
-    # Steal and queue-depth stats: prefer the metrics files, fall back to
-    # counting trace instants.
-    metrics = []
-    for path in args.metrics:
-        try:
-            metrics.append(load_json(path))
-        except (OSError, json.JSONDecodeError) as e:
-            return fail(f"cannot load {path}: {e}")
-    steal_instants = sum(1 for ev in events
-                        if ev.get("ph") == "i" and ev.get("name") == "steal")
-    depth_samples = [v for ev in events if ev.get("ph") == "C"
-                     and ev.get("name") == "queue_depth"
-                     for v in ev.get("args", {}).values()]
-    print()
-
-    def worker_states(m, w):
-        """busy/steal/sink/idle fractions of one worker, whichever schema:
-        *_seconds (bddmin_cli --metrics) or *_fraction (BENCH runs)."""
-        wall = m.get("wall_seconds", 0.0)
-        states = {}
-        for state in ("busy", "steal", "sink", "idle"):
-            if f"{state}_fraction" in w:
-                states[state] = w[f"{state}_fraction"]
-            else:
-                states[state] = (w.get(f"{state}_seconds", 0.0) / wall
-                                 if wall > 0 else 0.0)
-        return states
-
-    if metrics:
-        print("scheduler metrics (--metrics):")
-        for m in metrics:
-            rate = m.get("steal_success_rate", 0.0)
-            lat = m.get("job_latency_ns", {})
-            print(f"  threads={m.get('threads')}: "
-                  f"steals {m.get('steals')}/{m.get('steal_attempts')} "
-                  f"({rate:.1%} success), "
-                  f"latency p50={lat.get('p50', 0) / 1e6:.2f}ms "
-                  f"p99={lat.get('p99', 0) / 1e6:.2f}ms")
-            for w in m.get("workers", []):
-                states = worker_states(m, w)
-                dominant = max(states, key=states.get)
-                print(f"    worker-{w.get('worker')}: "
-                      + " ".join(f"{k}={v:.1%}" for k, v in states.items())
-                      + f"  dominant={dominant}")
-    else:
-        print(f"steal instants in trace: {steal_instants}")
-    if depth_samples:
-        print(f"queue-depth samples: {len(depth_samples)}, "
-              f"min={min(depth_samples)} max={max(depth_samples)} "
-              f"last={depth_samples[-1]}")
-
-    # ---- Scheduler overhead: per-job fixed cost vs minimize time, from
-    # the schema-2 "overhead"/"sharding" objects. ------------------------
-    overhead_runs = [m for m in metrics if "overhead" in m]
-    if overhead_runs:
-        print()
-        print("scheduler overhead (per-job fixed cost vs minimize time):")
-        for m in overhead_runs:
-            ov = m["overhead"]
-            sh = m.get("sharding", {})
-            jobs = m.get("jobs", 0)
-            busy = ov.get("busy_seconds", 0.0)
-            heur = ov.get("heuristic_seconds", 0.0)
-            frac = ov.get("overhead_fraction", 0.0)
-            fixed_us = ((busy - heur) / jobs * 1e6) if jobs else 0.0
-            mode = ("sharded" if sh.get("shard_cost_budget", 0)
-                    else "unsharded")
-            print(f"  threads={m.get('threads')} {mode}: "
-                  f"busy={busy:.3f}s minimize={heur:.3f}s "
-                  f"overhead={frac:.1%} (~{fixed_us:.0f}us fixed cost/job)")
-            if sh:
-                sj = sh.get("shard_jobs", {})
-                print(f"    shards={sh.get('shards')} "
-                      f"budget={sh.get('shard_cost_budget')} "
-                      f"warm_jobs={sh.get('warm_jobs')} "
-                      f"cold_jobs={sh.get('cold_jobs')} "
-                      f"jobs/shard p50={sj.get('p50', 0)} "
-                      f"max={sj.get('max', 0)}")
-        sharded = [m for m in overhead_runs
-                   if m.get("sharding", {}).get("shard_cost_budget", 0)]
-        unsharded = [m for m in overhead_runs
-                     if not m.get("sharding", {}).get("shard_cost_budget", 0)]
-        if sharded and unsharded:
-            s, u = sharded[0], unsharded[0]
-            wall_s = s.get("wall_seconds", 0.0)
-            wall_u = u.get("wall_seconds", 0.0)
-            frac_s = s["overhead"].get("overhead_fraction", 0.0)
-            frac_u = u["overhead"].get("overhead_fraction", 0.0)
-            delta = (wall_u - wall_s) / wall_u if wall_u > 0 else 0.0
-            print(f"  sharded vs unsharded: wall {wall_u:.3f}s -> "
-                  f"{wall_s:.3f}s ({delta:+.1%}), overhead "
-                  f"{frac_u:.1%} -> {frac_s:.1%}")
-
-    print()
-    print(f"top {args.top} longest serial sections (<= 1 busy worker):")
-    for dur, start, jobs in serial_sections[:args.top]:
-        label = ", ".join(jobs[:3]) + (" ..." if len(jobs) > 3 else "")
-        print(f"  {dur / 1e6:9.4f}s at +{(start - window[0]) / 1e6:.3f}s: "
-              f"{label}")
-
-    # ---- The diagnosis: name one concrete bottleneck consistent with the
-    # numbers above, in priority order. ---------------------------------
-    print()
-    print("diagnosis:")
-    diagnosed = False
-    hw = bench.get("hardware_concurrency", 0) if bench else 0
-    actual = {run.get("threads"): run.get("speedup", 0.0)
-              for run in (bench.get("runs", []) if bench else [])}
-    worst = min((s for n, s in actual.items() if n and n > 1),
-                default=None)
-    if hw and num_workers > hw:
-        # Busy fractions are wall-clock occupancy: descheduled workers
-        # still count as "busy", so high busy + flat speedup = no cores.
-        print(f"  * CPU oversubscription: {num_workers} workers share "
-              f"{hw} hardware thread(s).  Aggregate busy occupancy is "
-              f"{avg_busy:.1%} yet the measured speedup is flat"
-              + (f" (worst {worst:.2f}x)" if worst is not None else "")
-              + " — workers are timesharing cores, not running in "
-              "parallel.  Per-job latency inflating with the thread "
-              "count (see p99 above) is the signature.")
-        diagnosed = True
-    if serial_fraction > 0.25:
-        predicted = amdahl(serial_fraction, num_workers)
-        print(f"  * measured serial fraction {serial_fraction:.1%}: "
-              f"Amdahl caps {num_workers} workers at "
-              f"{predicted:.2f}x.  The longest serial sections above "
-              "name the jobs to split or schedule first.")
-        diagnosed = True
+def scaling_pairs(metrics):
+    """Each run paired with the fewest-thread run of the same batch."""
+    groups = {}
     for m in metrics:
-        n = m.get("threads", 0)
-        if n is None or n <= 1:
-            continue
-        idle = []
+        if m.get("threads", 0) > 0 and m.get("wall_seconds", 0.0) > 0:
+            groups.setdefault((m.get("jobs"), is_sharded(m)), []).append(m)
+    pairs = []
+    for runs in groups.values():
+        base = min(runs, key=lambda m: m["threads"])
+        pairs.extend((base, m) for m in runs if m["threads"] > base["threads"])
+    return pairs
+
+
+def print_runs(metrics):
+    print("scheduler metrics (--metrics):")
+    for m in metrics:
+        rate = m.get("steal_success_rate", 0.0)
+        lat = m.get("job_latency_ns", {})
+        depth = m.get("queue_depth", {})
+        print(f"  threads={m.get('threads')} "
+              f"hardware_concurrency={m.get('hardware_concurrency', '?')} "
+              f"jobs={m.get('jobs')} wall={m.get('wall_seconds', 0.0):.3f}s: "
+              f"steals {m.get('steals')}/{m.get('steal_attempts')} "
+              f"({rate:.1%} success), "
+              f"latency p50={lat.get('p50', 0) / 1e6:.2f}ms "
+              f"p99={lat.get('p99', 0) / 1e6:.2f}ms, "
+              f"queue depth p50={depth.get('p50', 0)} "
+              f"max={depth.get('max', 0)}")
         for w in m.get("workers", []):
             states = worker_states(m, w)
-            if states["idle"] > max(states["busy"], states["steal"],
-                                    states["sink"]):
-                idle.append(w)
+            dominant = max(states, key=states.get)
+            print(f"    worker-{w.get('worker')}: "
+                  + " ".join(f"{k}={v:.1%}" for k, v in states.items())
+                  + f"  dominant={dominant}")
+
+
+def print_overhead(metrics):
+    """Per-job fixed cost vs minimize time, from "overhead"/"sharding"."""
+    runs = [m for m in metrics if "overhead" in m]
+    if not runs:
+        return
+    print()
+    print("scheduler overhead (per-job fixed cost vs minimize time):")
+    for m in runs:
+        ov = m["overhead"]
+        sh = m.get("sharding", {})
+        jobs = m.get("jobs", 0)
+        busy = ov.get("busy_seconds", 0.0)
+        heur = ov.get("heuristic_seconds", 0.0)
+        frac = ov.get("overhead_fraction", 0.0)
+        fixed_us = ((busy - heur) / jobs * 1e6) if jobs else 0.0
+        mode = "sharded" if is_sharded(m) else "unsharded"
+        print(f"  threads={m.get('threads')} {mode}: "
+              f"busy={busy:.3f}s minimize={heur:.3f}s "
+              f"overhead={frac:.1%} (~{fixed_us:.0f}us fixed cost/job)")
+        if sh:
+            sj = sh.get("shard_jobs", {})
+            print(f"    shards={sh.get('shards')} "
+                  f"budget={sh.get('shard_cost_budget')} "
+                  f"warm_jobs={sh.get('warm_jobs')} "
+                  f"cold_jobs={sh.get('cold_jobs')} "
+                  f"jobs/shard p50={sj.get('p50', 0)} "
+                  f"max={sj.get('max', 0)}")
+    sharded = [m for m in runs if is_sharded(m)]
+    unsharded = [m for m in runs if not is_sharded(m)]
+    if sharded and unsharded:
+        s, u = sharded[0], unsharded[0]
+        wall_s = s.get("wall_seconds", 0.0)
+        wall_u = u.get("wall_seconds", 0.0)
+        frac_s = s["overhead"].get("overhead_fraction", 0.0)
+        frac_u = u["overhead"].get("overhead_fraction", 0.0)
+        delta = (wall_u - wall_s) / wall_u if wall_u > 0 else 0.0
+        print(f"  sharded vs unsharded: wall {wall_u:.3f}s -> "
+              f"{wall_s:.3f}s ({delta:+.1%}), overhead "
+              f"{frac_u:.1%} -> {frac_s:.1%}")
+
+
+def print_scaling(pairs):
+    print()
+    print("serial fraction (Karp-Flatt, e = (1/S - 1/p) / (1 - 1/p)):")
+    if not pairs:
+        print("  n/a: needs two runs of the same batch at different "
+              "thread counts")
+    for base, run in pairs:
+        p, speedup, e = karp_flatt(base, run)
+        note = "  (oversubscribed)" if oversubscribed(run) else ""
+        print(f"  threads {base['threads']} -> {run['threads']}: "
+              f"wall {base['wall_seconds']:.3f}s -> "
+              f"{run['wall_seconds']:.3f}s, speedup {speedup:.2f}x "
+              f"of {p:g}x, serial fraction {e:.1%}{note}")
+
+
+def diagnose(metrics, pairs):
+    """Name the bottlenecks consistent with the numbers, in priority
+    order; returns the lines to print."""
+    out = []
+    for m in metrics:
+        if not oversubscribed(m):
+            continue
+        n, hw = m["threads"], m["hardware_concurrency"]
+        line = (f"CPU oversubscription: {n} workers share {hw} hardware "
+                f"thread(s) — they timeshare cores rather than run in "
+                f"parallel, so busy time counts descheduled workers")
+        p99 = m.get("job_latency_ns", {}).get("p99", 0)
+        base = next((b for b, r in pairs if r is m), None)
+        if base is not None:
+            base_p99 = base.get("job_latency_ns", {}).get("p99", 0)
+            line += (f"; job p99 {base_p99 / 1e6:.2f}ms at "
+                     f"{base['threads']} thread(s) -> {p99 / 1e6:.2f}ms "
+                     f"at {n}")
+        out.append(line + ".")
+    # The serial fraction is read from runs that fit on the host: an
+    # oversubscribed run's lost speedup is timesharing, not serial work.
+    fits = [(b, r) for b, r in pairs if not oversubscribed(r)]
+    if fits:
+        base, run = max(fits, key=lambda br: br[1]["threads"])
+        p, speedup, e = karp_flatt(base, run)
+        if e > 0.25:
+            out.append(f"serial fraction {e:.1%} at {run['threads']} "
+                       f"threads: the batch reaches {speedup:.2f}x of "
+                       f"{p:g}x — the longest jobs or the single-threaded "
+                       "setup bound the wall time.")
+    for m in metrics:
+        n = m.get("threads", 0)
+        if n <= 1:
+            continue
+        idle = 0
+        for w in m.get("workers", []):
+            s = worker_states(m, w)
+            if s["idle"] > max(s["busy"], s["steal"], s["sink"]):
+                idle += 1
         if idle:
             rate = m.get("steal_success_rate", 0.0)
-            print(f"  * worker starvation at {n} threads: "
-                  f"{len(idle)}/{len(m.get('workers', []))} workers are "
-                  f"dominantly idle (steal success {rate:.1%}) — the "
-                  "queue drains unevenly; check the depth curve above.")
-            diagnosed = True
+            shards = m.get("sharding", {}).get("shards", 0)
+            cause = (f"only {shards} shard(s) for {n} workers; lower "
+                     "--shard-cost" if 0 < shards < n else
+                     "the queue drains unevenly")
+            out.append(f"worker starvation at {n} threads: "
+                       f"{idle}/{len(m.get('workers', []))} workers "
+                       f"are dominantly idle (steal success {rate:.1%}) — "
+                       f"{cause}.")
     # Tiny jobs make the per-job fixed cost (decode, reset, fsync,
     # scheduling) a first-order term: call it out whenever the p50 job
     # latency is under 1ms and the overhead split confirms it.
     for m in metrics:
         lat_p50_ns = m.get("job_latency_ns", {}).get("p50", 0)
-        ov = m.get("overhead", {})
-        frac = ov.get("overhead_fraction", 0.0)
+        frac = m.get("overhead", {}).get("overhead_fraction", 0.0)
         if 0 < lat_p50_ns < 1_000_000 and frac > 0.10:
-            sh = m.get("sharding", {})
-            budget = sh.get("shard_cost_budget", 0)
             remedy = ("raise --shard-cost so more jobs share a warm "
-                      "manager" if budget else
+                      "manager" if is_sharded(m) else
                       "enable shard scheduling (--shard-cost) so the "
                       "fixed cost amortizes over a shard")
-            print(f"  * per-job scheduler overhead: p50 job latency is "
-                  f"{lat_p50_ns / 1e6:.2f}ms (< 1ms) and {frac:.1%} of "
-                  f"busy time is outside the heuristics at "
-                  f"threads={m.get('threads')} — the fixed per-job cost "
-                  f"rivals the minimization itself; {remedy}.")
-            diagnosed = True
+            out.append(f"per-job scheduler overhead: p50 job latency is "
+                       f"{lat_p50_ns / 1e6:.2f}ms (< 1ms) and {frac:.1%} "
+                       f"of busy time is outside the heuristics at "
+                       f"threads={m.get('threads')} — the fixed per-job "
+                       f"cost rivals the minimization itself; {remedy}.")
             break
-    if not diagnosed:
-        if worst is not None and worst < 0.9 * num_workers:
-            print("  * no dominant serial fraction or starvation, but the "
-                  f"speedup ({worst:.2f}x) still trails {num_workers} "
-                  "workers: suspect per-pop scheduler overhead (steal "
-                  "sweeps, sink contention) — see the steal stats above.")
-        else:
-            print("  * no bottleneck apparent: workers are busy, the "
-                  "serial fraction is small, and the speedup tracks the "
-                  "worker count.")
+    if not out:
+        out.append("no bottleneck apparent: workers are busy, the serial "
+                   "fraction is small and no run exceeds the host's "
+                   "hardware threads.")
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--metrics", action="append", required=True,
+                        metavar="PATH",
+                        help="metrics JSON from bddmin_cli batch --metrics "
+                             "(repeatable: one per run)")
+    args = parser.parse_args()
+
+    metrics = []
+    for path in args.metrics:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                m = json.load(fh)
+        except (OSError, json.JSONDecodeError) as e:
+            return fail(f"cannot load {path}: {e}")
+        if not isinstance(m, dict) or not isinstance(m.get("threads"), int):
+            return fail(f"{path}: not a bddmin_cli --metrics record")
+        metrics.append(m)
+
+    pairs = scaling_pairs(metrics)
+    print_runs(metrics)
+    print_overhead(metrics)
+    print_scaling(pairs)
+    print()
+    print("diagnosis:")
+    for line in diagnose(metrics, pairs):
+        print(f"  * {line}")
     return 0
 
 
