@@ -124,30 +124,25 @@ InvariantCounters invariants_of(const engine::BatchReport& report) {
 /// Scheduler-overhead fraction of one run: the share of worker busy time
 /// *not* spent inside a heuristic (decode, manager reset, governor
 /// rebaseline, validation, delivery).  Warm in-shard reuse attacks
-/// exactly this number.
-double overhead_fraction(const engine::BatchReport& report) {
-  double heuristic_seconds = 0.0;
-  for (const engine::JobOutcome& o : report.outcomes) {
-    for (const engine::HeuristicResult& r : o.results) {
-      heuristic_seconds += r.seconds;
-    }
-  }
+/// exactly this number.  Both sides cover only the jobs the workers ran:
+/// dedup duplicates copy their representative's seconds but add no busy
+/// time.
+double overhead_fraction(const engine::BatchMetrics& m) {
   double busy_seconds = 0.0;
-  for (const engine::WorkerUtilization& u : report.metrics.workers) {
+  for (const engine::WorkerUtilization& u : m.workers) {
     busy_seconds += u.busy_seconds;
   }
   return busy_seconds > 0.0
-             ? std::max(0.0, 1.0 - heuristic_seconds / busy_seconds)
+             ? std::max(0.0, 1.0 - m.heuristic_seconds / busy_seconds)
              : 0.0;
 }
 
-/// Batch-summed computed-cache hit rate — with warm in-shard reuse the
-/// cache carries across jobs, so cross-job reuse lifts this rate.
-double cache_hit_rate(const engine::BatchReport& report) {
-  telemetry::CounterSnapshot sum;
-  for (const engine::JobOutcome& o : report.outcomes) sum += o.counters;
-  const std::uint64_t hits = sum.total_cache_hits();
-  const std::uint64_t misses = sum.total_cache_misses();
+/// Batch-summed computed-cache hit rate over the jobs the workers ran —
+/// with warm in-shard reuse the cache carries across jobs, so cross-job
+/// reuse lifts this rate.
+double cache_hit_rate(const engine::BatchMetrics& m) {
+  const std::uint64_t hits = m.counters.total_cache_hits();
+  const std::uint64_t misses = m.counters.total_cache_misses();
   return hits + misses ? static_cast<double>(hits) / (hits + misses) : 0.0;
 }
 
@@ -176,8 +171,8 @@ double shard_mode_run(harness::JsonWriter& json,
   json.kv("threads", threads);
   json.kv("sharded", shard_cost > 0);
   json.kv("wall_seconds", report.wall_seconds);
-  json.kv("overhead_fraction", overhead_fraction(report));
-  json.kv("cache_hit_rate", cache_hit_rate(report));
+  json.kv("overhead_fraction", overhead_fraction(m));
+  json.kv("cache_hit_rate", cache_hit_rate(m));
   json.kv("shards", m.shards);
   json.kv("warm_jobs", m.warm_jobs);
   json.kv("cold_jobs", m.cold_jobs);

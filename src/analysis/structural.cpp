@@ -260,20 +260,18 @@ void audit_structure(const Manager& mgr, AuditReport& report) {
   // (swap-local frees), so the difference must equal what is chained now.
   // An imbalance means either a table mutation bypassed the instrumented
   // paths or a counter site was lost — both worth a finding.
-  if constexpr (telemetry::kCountersEnabled) {
-    using telemetry::Counter;
-    const telemetry::CounterSnapshot counters = mgr.telemetry();
-    const std::uint64_t created = counters.value(Counter::kUniqueInserts);
-    const std::uint64_t freed = counters.value(Counter::kGcNodesReclaimed) +
-                                counters.value(Counter::kReorderNodesFreed);
-    if (created != freed + unique_total) {
-      report.add(Category::kAccounting,
-                 "telemetry insert/reclaim counters disagree with the unique "
-                 "table: " +
-                     std::to_string(created) + " inserted - " +
-                     std::to_string(freed) + " reclaimed != " +
-                     std::to_string(unique_total) + " chained");
-    }
+  using telemetry::Counter;
+  const telemetry::CounterSnapshot counters = mgr.telemetry();
+  const std::uint64_t created = counters.value(Counter::kUniqueInserts);
+  const std::uint64_t freed = counters.value(Counter::kGcNodesReclaimed) +
+                              counters.value(Counter::kReorderNodesFreed);
+  if (created != freed + unique_total) {
+    report.add(Category::kAccounting,
+               "telemetry insert/reclaim counters disagree with the unique "
+               "table: " +
+                   std::to_string(created) + " inserted - " +
+                   std::to_string(freed) + " reclaimed != " +
+                   std::to_string(unique_total) + " chained");
   }
 }
 

@@ -155,20 +155,14 @@ class ResourceGovernor {
   /// counts into it unconditionally — also when no limit is installed —
   /// so step telemetry works for unlimited runs.  Null detaches.
   void attach_step_counter(std::uint64_t* slot) noexcept {
-#if !defined(BDDMIN_NO_TELEMETRY)
     step_counter_ = slot;
-#else
-    (void)slot;
-#endif
   }
 
   /// Charge one recursion step (called on memoization misses).  Hot path:
   /// a single predicted branch when no step/deadline limit is installed
-  /// (plus one counter increment when telemetry is compiled in).
+  /// (plus one counter increment).
   void charge_step() {
-#if !defined(BDDMIN_NO_TELEMETRY)
     if (step_counter_ != nullptr) ++*step_counter_;
-#endif
     if (!watching_steps_) return;
     ++steps_;
     if (limits_.step_limit != 0 && steps_ > limits_.step_limit) {
@@ -228,9 +222,7 @@ class ResourceGovernor {
 
   ResourceLimits limits_;
   Clock::time_point deadline_{};
-#if !defined(BDDMIN_NO_TELEMETRY)
   std::uint64_t* step_counter_ = nullptr;  // owned by the Manager's bank
-#endif
   std::uint64_t steps_ = 0;
   std::size_t peak_live_ = 0;
   unsigned critical_depth_ = 0;

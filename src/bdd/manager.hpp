@@ -271,8 +271,8 @@ class BDDMIN_CAPABILITY("Manager") Manager {
   /// Snapshot of this manager's event counters (unique-table traffic,
   /// computed-cache hits/misses per op class, GC, sifting, governor
   /// steps).  Deterministic: counts structural events, never time.
-  /// Measure an operation as `after - before`; all zeros when compiled
-  /// out (-DBDDMIN_TELEMETRY=OFF).  See telemetry/counters.hpp.
+  /// Measure an operation as `after - before`.  See
+  /// telemetry/counters.hpp.
   [[nodiscard]] telemetry::CounterSnapshot telemetry() const noexcept {
     return counters_.snapshot();
   }

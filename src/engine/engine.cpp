@@ -36,24 +36,14 @@ using Clock = std::chrono::steady_clock;
           .count());
 }
 
-/// Clock read for the utilization accounting: compiled down to a constant
-/// zero when telemetry is off, so the whole busy/steal/sink bookkeeping
-/// folds away and only the plain event counters survive.
-[[nodiscard]] std::uint64_t stat_now_ns() {
-  if constexpr (telemetry::kHistogramsEnabled) {
-    return now_ns();
-  } else {
-    return 0;
-  }
-}
-
 /// Sample the run-queue backlog every this many pops per worker — cheap
 /// (a handful of relaxed loads) but frequent enough that the depth
 /// histogram tracks the drain curve of a thousands-of-jobs batch.
 constexpr std::uint64_t kDepthSampleEvery = 16;
 
 /// One worker's time/event accounting, single writer (the worker), read
-/// by run_batch after the join.  Padded so neighbours never share a line.
+/// and merged by run_batch after the join.  Padded so neighbours never
+/// share a line.
 struct alignas(64) WorkerStats {
   std::uint64_t busy_ns = 0;   ///< inside jobs
   std::uint64_t steal_ns = 0;  ///< try_pop time past an own-deque miss
@@ -64,20 +54,8 @@ struct alignas(64) WorkerStats {
   std::uint64_t pops = 0;  ///< depth-sampler cadence counter
   std::uint64_t warm_jobs = 0;  ///< manager acquisitions that skipped reset()
   std::uint64_t cold_jobs = 0;  ///< manager acquisitions through reset()
-};
-
-/// The batch-local histogram set.  Workers record wait-free; run_batch
-/// snapshots after the join (deterministically quiescent) into
-/// BatchReport::metrics and merges the snapshots into the process-global
-/// bank so `bddmin_cli stats` sees them.  No-op objects when telemetry
-/// is compiled out.
-struct BatchInstruments {
-  telemetry::Histogram job_latency;
-  telemetry::Histogram job_steps;
-  telemetry::Histogram steal_search;
-  telemetry::Histogram queue_depth;
-  telemetry::Histogram shard_jobs;
-  telemetry::Histogram shard_cost;
+  telemetry::HistogramSnapshot steal_search_ns;  ///< per own-deque miss
+  telemetry::HistogramSnapshot queue_depth;      ///< sampled backlog
 };
 
 /// Submission-order result sink.  Each slot is written exactly once, but
@@ -126,8 +104,7 @@ struct WorkerContext {
   const minimize::Heuristic* fallback;  ///< nullptr = no budget retry
   unsigned worker;
   JournalWriter* journal = nullptr; ///< completion records; nullptr = off
-  WorkerStats* stats = nullptr;            ///< utilization accounting
-  BatchInstruments* instruments = nullptr; ///< batch-local histograms
+  WorkerStats* stats = nullptr;     ///< utilization accounting
   const std::vector<std::size_t>* to_run = nullptr;  ///< run list (job indices)
   const ShardPlan* plan = nullptr;  ///< shard ranges over *to_run
   /// True when mid-shard jobs may reuse a warm manager: sharding is on
@@ -364,7 +341,6 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
   }
   outcome.peak_live = mgr.governor().peak_live_nodes();
   outcome.counters = mgr.telemetry() - counter_base;
-  telemetry::global().add(outcome.counters);
   outcome.seconds =
       std::chrono::duration<double>(Clock::now() - job_start).count();
   return outcome;
@@ -386,15 +362,15 @@ void worker_loop(WorkStealingQueue& queue, std::span<const Job> jobs,
   std::size_t shard_index = 0;
   for (;;) {
     WorkStealingQueue::PopOutcome pop;
-    const std::uint64_t pop_start = stat_now_ns();
+    const std::uint64_t pop_start = now_ns();
     const bool got = queue.try_pop(ctx.worker, &shard_index, &pop);
-    const std::uint64_t pop_ns = stat_now_ns() - pop_start;
+    const std::uint64_t pop_ns = now_ns() - pop_start;
     if (!got) {
       // The exit sweep scanned every deque and found nothing — by
       // definition a failed steal search.
       ++stats.steal_attempts;
       stats.steal_ns += pop_ns;
-      ctx.instruments->steal_search.record(pop_ns);
+      stats.steal_search_ns.record(pop_ns);
       break;
     }
     const Shard& shard = ctx.plan->shards[shard_index];
@@ -402,12 +378,10 @@ void worker_loop(WorkStealingQueue& queue, std::span<const Job> jobs,
       ++stats.steal_attempts;
       ++stats.steals;
       stats.steal_ns += pop_ns;
-      ctx.instruments->steal_search.record(pop_ns);
+      stats.steal_search_ns.record(pop_ns);
     }
-    if constexpr (telemetry::kHistogramsEnabled) {
-      if (++stats.pops % kDepthSampleEvery == 0) {
-        ctx.instruments->queue_depth.record(queue.approx_depth());
-      }
+    if (++stats.pops % kDepthSampleEvery == 0) {
+      stats.queue_depth.record(queue.approx_depth());
     }
     // Whether the *next* job in this shard may start warm: the previous
     // job must have completed cleanly on this manager.  Resets via
@@ -417,7 +391,7 @@ void worker_loop(WorkStealingQueue& queue, std::span<const Job> jobs,
     for (std::uint32_t j = 0; j < shard.count; ++j) {
       const std::size_t index = (*ctx.to_run)[shard.first + j];
       JobOutcome outcome;
-      const std::uint64_t busy_start = stat_now_ns();
+      const std::uint64_t busy_start = now_ns();
       // The node watermark bounds table garbage across a long shard.
       const bool warm =
           ctx.warm_capable && warm_ready && pool != nullptr &&
@@ -439,20 +413,10 @@ void worker_loop(WorkStealingQueue& queue, std::span<const Job> jobs,
         // drop it rather than reuse a possibly inconsistent instance.
         pool.reset();
       }
-      stats.busy_ns += stat_now_ns() - busy_start;
+      stats.busy_ns += now_ns() - busy_start;
       ++stats.jobs;
-      if constexpr (telemetry::kHistogramsEnabled) {
-        const auto latency_ns =
-            static_cast<std::uint64_t>(outcome.seconds * 1e9);
-        telemetry::histograms()
-            .job_latency(static_cast<std::size_t>(outcome.status))
-            .record(latency_ns);
-        ctx.instruments->job_latency.record(latency_ns);
-        ctx.instruments->job_steps.record(
-            outcome.counters.value(telemetry::Counter::kGovernorSteps));
-      }
       warm_ready = outcome.status == JobStatus::kOk;
-      const std::uint64_t sink_start = stat_now_ns();
+      const std::uint64_t sink_start = now_ns();
       // Journal before the sink: once an outcome is observable it is
       // also durable.  Cancelled jobs are deliberately not journalled —
       // a resume after a cancellation re-runs them.  Group-commit mode
@@ -467,13 +431,13 @@ void worker_loop(WorkStealingQueue& queue, std::span<const Job> jobs,
         }
       }
       sink.deliver(index, std::move(outcome));
-      stats.sink_ns += stat_now_ns() - sink_start;
+      stats.sink_ns += now_ns() - sink_start;
     }
     if (group_commit && !journal_group.empty()) {
-      const std::uint64_t flush_start = stat_now_ns();
+      const std::uint64_t flush_start = now_ns();
       ctx.journal->append_raw_lines(journal_group);
       journal_group.clear();
-      stats.sink_ns += stat_now_ns() - flush_start;
+      stats.sink_ns += now_ns() - flush_start;
     }
   }
 }
@@ -646,16 +610,6 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
   for (std::size_t s = 0; s < plan.size(); ++s) {
     queue.push(s % threads, s);
   }
-  BatchInstruments instruments;
-  if constexpr (telemetry::kHistogramsEnabled) {
-    // Anchor the depth histogram with the fully seeded backlog so the
-    // drain curve has a defined starting point even for tiny batches.
-    instruments.queue_depth.record(plan.size());
-    for (const Shard& s : plan.shards) {
-      instruments.shard_jobs.record(s.count);
-      instruments.shard_cost.record(s.cost);
-    }
-  }
   ResultSink sink(jobs.size());
   if (resume != nullptr) {
     const std::size_t n = std::min(jobs.size(), resume->completed.size());
@@ -707,9 +661,9 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
     pool.reserve(threads);
     for (unsigned w = 0; w < threads; ++w) {
       pool.emplace_back([&, w] {
-        const WorkerContext ctx{&effective, &heuristics, fallback,    w,
-                                journal.get(), &wstats[w], &instruments,
-                                &to_run,       &plan,      warm_capable};
+        const WorkerContext ctx{&effective,    &heuristics, fallback,
+                                w,             journal.get(), &wstats[w],
+                                &to_run,       &plan,         warm_capable};
         worker_loop(queue, jobs, sink, ctx);
       });
     }
@@ -744,22 +698,30 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
     std::fflush(stderr);
   }
 
-  // Assemble the run's observability block: batch-local histogram
-  // snapshots (merged into the process-global bank for `stats`) and the
-  // per-worker utilization table.  Idle is the wall-time remainder, so
-  // per worker busy + steal + sink + idle ≈ wall by construction.
+  // Assemble the run's observability block, all on this thread after the
+  // join.  Per-job figures come from the outcomes of the jobs the workers
+  // ran (`to_run`): dedup duplicates copy their representative's outcome
+  // and resumed jobs ran in an earlier process, so both are left out.
+  // The shard plan anchors the depth histogram with the fully
+  // seeded backlog, so the drain curve has a defined starting point even
+  // for tiny batches.  Idle is the wall-time remainder, so per worker
+  // busy + steal + sink + idle ≈ wall by construction.
   BatchMetrics& metrics = report.metrics;
-  metrics.job_latency_ns = instruments.job_latency.snapshot();
-  metrics.job_steps = instruments.job_steps.snapshot();
-  metrics.steal_search_ns = instruments.steal_search.snapshot();
-  metrics.queue_depth = instruments.queue_depth.snapshot();
-  metrics.shard_jobs = instruments.shard_jobs.snapshot();
-  metrics.shard_cost = instruments.shard_cost.snapshot();
-  telemetry::histograms().job_steps().merge(metrics.job_steps);
-  telemetry::histograms().steal_search_ns().merge(metrics.steal_search_ns);
-  telemetry::histograms().queue_depth().merge(metrics.queue_depth);
-  telemetry::histograms().shard_jobs().merge(metrics.shard_jobs);
-  telemetry::histograms().shard_cost().merge(metrics.shard_cost);
+  for (const std::size_t i : to_run) {
+    const JobOutcome& o = report.outcomes[i];
+    metrics.counters += o.counters;
+    for (const HeuristicResult& r : o.results) {
+      metrics.heuristic_seconds += r.seconds;
+    }
+    metrics.job_latency_ns.record(static_cast<std::uint64_t>(o.seconds * 1e9));
+    metrics.job_steps.record(
+        o.counters.value(telemetry::Counter::kGovernorSteps));
+  }
+  metrics.queue_depth.record(plan.size());
+  for (const Shard& s : plan.shards) {
+    metrics.shard_jobs.record(s.count);
+    metrics.shard_cost.record(s.cost);
+  }
   metrics.shards = plan.size();
   metrics.shard_cost_budget = effective.shard_cost;
   metrics.workers.reserve(threads);
@@ -779,6 +741,8 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
     metrics.steals += s.steals;
     metrics.warm_jobs += s.warm_jobs;
     metrics.cold_jobs += s.cold_jobs;
+    metrics.steal_search_ns += s.steal_search_ns;
+    metrics.queue_depth += s.queue_depth;
     metrics.workers.push_back(u);
   }
   return report;
@@ -841,6 +805,29 @@ std::string report_csv(const BatchReport& report, bool include_timings,
     os << "\n";
   }
   return os.str();
+}
+
+std::string prometheus_text(const BatchMetrics& m) {
+  std::string out = telemetry::prometheus_text(m.counters);
+  telemetry::append_histogram_family(&out, "bddmin_job_latency_ns",
+                                     "Per-job wall latency", m.job_latency_ns);
+  telemetry::append_histogram_family(&out, "bddmin_job_steps",
+                                     "Governor steps charged per batch job",
+                                     m.job_steps);
+  telemetry::append_histogram_family(
+      &out, "bddmin_steal_search_ns",
+      "Worker steal-search latency after missing its own deque",
+      m.steal_search_ns);
+  telemetry::append_histogram_family(&out, "bddmin_queue_depth",
+                                     "Sampled total run-queue depth",
+                                     m.queue_depth);
+  telemetry::append_histogram_family(&out, "bddmin_shard_jobs",
+                                     "Jobs packed per scheduler shard",
+                                     m.shard_jobs);
+  telemetry::append_histogram_family(&out, "bddmin_shard_cost",
+                                     "Estimated cost units per scheduler shard",
+                                     m.shard_cost);
+  return out;
 }
 
 }  // namespace bddmin::engine

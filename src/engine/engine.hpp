@@ -187,8 +187,7 @@ struct HeuristicResult {
   double seconds = 0.0;   ///< wall time; non-deterministic
   /// Per-phase time and counter deltas (matching / cover-build /
   /// validation).  The step and counter splits are deterministic — each
-  /// job runs in a fresh manager — the seconds are not.  All-zero when
-  /// telemetry is compiled out.
+  /// job runs in a fresh manager — the seconds are not.
   telemetry::PhaseProfile phases;
 };
 
@@ -215,9 +214,9 @@ struct JobOutcome {
   /// intermediates), so the CSV reports it in the opt-in counters block.
   std::size_t peak_live = 0;
   /// Telemetry counter *deltas* for this job (decode, every heuristic,
-  /// validation, audits).  Deterministic across thread counts; all-zero
-  /// when telemetry is compiled out.  Shard-mode sensitive like
-  /// peak_live — warm cache hits replace recorded work.
+  /// validation, audits).  Deterministic across thread counts.
+  /// Shard-mode sensitive like peak_live — warm cache hits replace
+  /// recorded work.
   telemetry::CounterSnapshot counters;
   unsigned worker = 0;                   ///< informational; non-deterministic
   double seconds = 0.0;                  ///< total job wall time
@@ -229,8 +228,7 @@ struct JobOutcome {
 /// missing its own), sink (journal append + result delivery) or idle
 /// (everything else: waiting out the drain).  Busy, steal
 /// and sink are measured with the monotonic clock; idle is the
-/// remainder against the batch wall time, clamped at zero.  All seconds
-/// are zero when telemetry is compiled out; the event counts survive.
+/// remainder against the batch wall time, clamped at zero.
 struct WorkerUtilization {
   unsigned worker = 0;
   double busy_seconds = 0.0;
@@ -242,12 +240,17 @@ struct WorkerUtilization {
   std::uint64_t steals = 0;         ///< sweeps that yielded an item
 };
 
-/// Distribution-level observability for one batch run: latency/steal/
-/// queue-depth histograms (also merged into the process-global bank for
-/// `bddmin_cli stats`) and the per-worker utilization table.  All
-/// wall-clock derived, hence outside the determinism contract; empty /
-/// zero when telemetry is compiled out.
+/// The batch's one observability record, read by `bddmin_cli stats`,
+/// `batch --metrics` and `bench_batch`: work counters, latency/steal/
+/// queue-depth histograms and the per-worker utilization table.  Every
+/// per-job figure covers the jobs the workers ran — never the dedup
+/// duplicates filled from them, nor resumed jobs.  The wall-clock
+/// fields are outside the determinism contract.
 struct BatchMetrics {
+  /// Sum of JobOutcome::counters over the jobs run (deterministic).
+  telemetry::CounterSnapshot counters;
+  /// Sum of HeuristicResult::seconds over the jobs run.
+  double heuristic_seconds = 0.0;
   telemetry::HistogramSnapshot job_latency_ns;   ///< one sample per job run
   telemetry::HistogramSnapshot job_steps;        ///< governor steps per job
   telemetry::HistogramSnapshot steal_search_ns;  ///< per own-deque miss
@@ -291,11 +294,17 @@ struct BatchReport {
 /// job seconds and the worker id, which are not deterministic.
 /// `include_counters` appends per-job telemetry counters, `peak_live`
 /// and per-heuristic phase step splits — deterministic across thread
-/// counts (all zeros when telemetry is compiled out) but sensitive to
-/// the shard mode: warm computed caches do less work, which is the
-/// point.
+/// counts but sensitive to the shard mode: warm computed caches do less
+/// work, which is the point.
 [[nodiscard]] std::string report_csv(const BatchReport& report,
                                      bool include_timings = false,
                                      bool include_counters = false);
+
+/// Prometheus text exposition of one batch's metrics: the counter
+/// families of telemetry::prometheus_text(m.counters), then the
+/// histogram families `bddmin_job_latency_ns`, `bddmin_job_steps`,
+/// `bddmin_steal_search_ns`, `bddmin_queue_depth`, `bddmin_shard_jobs`
+/// and `bddmin_shard_cost` (always emitted, empty or not).
+[[nodiscard]] std::string prometheus_text(const BatchMetrics& m);
 
 }  // namespace bddmin::engine

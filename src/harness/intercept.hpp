@@ -22,8 +22,7 @@ namespace bddmin::harness {
 struct HeuristicOutcome {
   std::size_t size = 0;
   double seconds = 0.0;
-  // Telemetry counter deltas over this one run (all zero when the
-  // counters are compiled out).
+  // Telemetry counter deltas over this one run.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t and_hits = 0;    ///< AND-kernel cache class (incl. leq/disjoint)

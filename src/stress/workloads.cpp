@@ -2,10 +2,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <iterator>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -26,7 +24,6 @@
 #include "minimize/sibling.hpp"
 #include "stress/runner.hpp"
 #include "telemetry/counters.hpp"
-#include "telemetry/histogram.hpp"
 
 namespace bddmin::stress {
 namespace {
@@ -410,8 +407,7 @@ void run_counter_delta(StressContext& ctx) {
     ctx.scratch = "repeated AND produced a different edge";
     return;
   }
-  if (telemetry::kCountersEnabled &&
-      delta.value(telemetry::Counter::kAndCacheMisses) != 0) {
+  if (delta.value(telemetry::Counter::kAndCacheMisses) != 0) {
     ctx.scratch = "repeated AND missed the computed cache " +
                   std::to_string(
                       delta.value(telemetry::Counter::kAndCacheMisses)) +
@@ -419,90 +415,6 @@ void run_counter_delta(StressContext& ctx) {
     return;
   }
   ctx.note_u64(delta.value(telemetry::Counter::kAndCacheMisses));
-}
-
-/// Scrape the process-global aggregate.  Its values are cross-thread and
-/// non-deterministic; only the exposition format is checked.  The local
-/// manager's cumulative insert counter IS deterministic and digested.
-void run_counter_scrape(StressContext& ctx) {
-  const telemetry::CounterSnapshot snap = telemetry::global().snapshot();
-  const std::string text = telemetry::prometheus_text(snap);
-  if (text.find("unique_inserts") == std::string::npos) {
-    ctx.scratch = "prometheus_text lost the unique_inserts series";
-    return;
-  }
-  ctx.refill_pool();
-  ctx.note_u64(ctx.manager().telemetry().value(
-      telemetry::Counter::kUniqueInserts));
-}
-
-/// Record seeded values into the process-global histogram bank from
-/// every thread (wait-free fetch_adds TSan watches), then scrape the
-/// exposition mid-run and check the family invariants: `_bucket` series
-/// cumulative-monotone, the `+Inf` bound equal to `_count`.  The scraped
-/// totals are cross-thread and wall-dependent, so only the seeded local
-/// values are digested — the same split run_counter_scrape makes.
-void run_histogram_scrape(StressContext& ctx) {
-  StepRng& rng = ctx.rng();
-  std::uint64_t local_sum = 0;
-  for (int i = 0; i < 8; ++i) {
-    const std::uint64_t v = rng.next() >> (rng.below(40) + 8);
-    telemetry::histograms().queue_depth().record(v);
-    local_sum += v;
-    // The bucket arithmetic is pure; pin its contract on seeded values.
-    const std::size_t bucket = telemetry::histogram_bucket_index(v);
-    if (telemetry::histogram_bucket_upper(bucket) < v) {
-      ctx.scratch = "bucket upper bound below the recorded value";
-      return;
-    }
-  }
-  const std::string text =
-      telemetry::histogram_prometheus_text(telemetry::histograms());
-  if (text.find("bddmin_queue_depth_bucket") == std::string::npos) {
-    ctx.scratch = "exposition lost the queue_depth family";
-    return;
-  }
-  // Family invariants over every series in the scrape: cumulative
-  // bucket counts never decrease, and each +Inf bucket equals the
-  // family's _count sample that follows it.
-  std::uint64_t cumulative = 0;
-  std::uint64_t inf_value = 0;
-  bool in_series = false;
-  std::istringstream lines(text);
-  std::string line;
-  std::string prev_labels;
-  while (std::getline(lines, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const std::size_t space = line.rfind(' ');
-    if (space == std::string::npos) continue;
-    const std::string key = line.substr(0, space);
-    const std::uint64_t value = std::strtoull(line.c_str() + space + 1,
-                                              nullptr, 10);
-    const std::size_t bucket_pos = key.find("_bucket{");
-    if (bucket_pos != std::string::npos) {
-      // New series (family+labels minus the le pair) restarts the
-      // cumulative check.
-      const std::size_t le = key.find("le=\"");
-      const std::string labels = key.substr(0, le);
-      if (labels != prev_labels) {
-        cumulative = 0;
-        prev_labels = labels;
-      }
-      if (value < cumulative) {
-        ctx.scratch = "cumulative bucket count decreased in: " + line;
-        return;
-      }
-      cumulative = value;
-      in_series = key.find("le=\"+Inf\"") == std::string::npos;
-      if (!in_series) inf_value = value;
-    } else if (key.find("_count") != std::string::npos && !in_series) {
-      if (value != inf_value) {
-        ctx.scratch = "+Inf bucket disagrees with _count in: " + line;
-        return;
-      }
-    }
-  }
-  ctx.note_u64(local_sum);  // seeded, thread-pure — safe to digest
 }
 
 // ---- Fault injection ----------------------------------------------------
@@ -728,8 +640,7 @@ StressFsm make_engine() {
        {"shards", run_shard_sweep, inv_scratch, 2.0},
        {"shard-cancel", run_shard_cancel, inv_scratch, 1.0},
        {"cancel-mid-run", run_cancel_mid_run, inv_scratch, 1.0},
-       {"timeout-storm", run_timeout_storm, inv_scratch, 1.0},
-       {"counter-scrape", run_counter_scrape, inv_scratch, 1.0}});
+       {"timeout-storm", run_timeout_storm, inv_scratch, 1.0}});
 }
 
 StressFsm make_governor() {
@@ -748,11 +659,10 @@ StressFsm make_governor() {
 StressFsm make_telemetry() {
   return build_hub(
       "telemetry",
-      "counter cross-checks, counter and histogram scrape format",
+      "exact per-manager counter deltas and the counter/table audit "
+      "cross-check",
       {{"build-ops", run_build_ops, inv_pool_audit, 2.0},
        {"counter-delta", run_counter_delta, inv_scratch, 2.0},
-       {"counter-scrape", run_counter_scrape, inv_scratch, 2.0},
-       {"histogram-scrape", run_histogram_scrape, inv_scratch, 2.0},
        {"audit", run_audit_deep, inv_scratch, 1.0}});
 }
 
@@ -777,8 +687,6 @@ StressFsm make_mixed() {
   b.state("cancel-mid-run", run_cancel_mid_run, inv_scratch);
   b.state("timeout-storm", run_timeout_storm, inv_scratch);
   b.state("counter-delta", run_counter_delta, inv_scratch);
-  b.state("counter-scrape", run_counter_scrape, inv_scratch);
-  b.state("histogram-scrape", run_histogram_scrape, inv_scratch);
   b.start("build-ops");
   return b.build();
 }

@@ -1,7 +1,7 @@
 /// \file workloads.hpp
 /// \brief Built-in stress workload graphs over the public API surface.
 ///
-/// Six graphs ship with the harness (docs/STRESS.md describes each):
+/// Seven graphs ship with the harness (docs/STRESS.md describes each):
 ///
 ///   core      — single-manager operation soup: build-ops, GC,
 ///               clear-caches, sifting, pooled reset/reuse, deep audits
@@ -10,9 +10,11 @@
 ///               mid-shard cancellation, timeout storms
 ///   governor  — effort limits: quota-exhaust aborts, sifting under a node
 ///               quota, degraded batches, abort -> reset -> reuse cycles
-///   telemetry — counter cross-checks, Prometheus scrape shape,
-///               per-manager counter determinism
+///   telemetry — exact per-manager counter deltas (deterministic) and
+///               the audit's counter/unique-table cross-check
 ///   mixed     — the union of the above, uniform transitions
+///   failpoints — fault-injection registry armed and disarmed mid-walk;
+///               ops, audits and batches must survive injected OOMs
 ///   faults    — the PR-1 5-class fault injector wired to an audit hook:
 ///               running it is EXPECTED to fail (the failure proves the
 ///               auditors catch the corruption and the triple replays)

@@ -33,11 +33,6 @@ const char* counter_name(Counter c) noexcept {
   return "?";
 }
 
-GlobalCounters& global() noexcept {
-  static GlobalCounters* instance = new GlobalCounters();  // never destroyed
-  return *instance;
-}
-
 std::string prometheus_text(const CounterSnapshot& s) {
   std::ostringstream os;
   const auto plain = [&](Counter c, const char* name, const char* help) {

@@ -1,36 +1,26 @@
 /// \file counters.hpp
-/// \brief Core counter registry: per-Manager event counters with
-/// zero-overhead-when-disabled semantics, plus a process-global aggregate.
+/// \brief Core counter registry: per-Manager event counters.
 ///
 /// Design:
 ///  * Each Manager owns one CounterBank — a plain array of uint64, no
 ///    atomics, because a Manager is strictly single-threaded.  Bumping a
-///    counter is one increment on a cache-resident line; compiling with
-///    `-DBDDMIN_TELEMETRY=OFF` (which defines BDDMIN_NO_TELEMETRY) turns
-///    every bump into a no-op so the hot paths carry literally nothing.
+///    counter is one increment on a cache-resident line.
 ///  * `Manager::telemetry()` returns a CounterSnapshot — a value copy that
 ///    supports delta arithmetic, so callers measure "what did this
 ///    operation cost" as `after - before`.  Snapshots are deterministic:
 ///    they count structural events (inserts, memo misses), never time.
-///  * `global()` is the process-wide aggregate the batch-engine workers
-///    flush their per-job banks into; it is the only concurrently written
-///    piece and therefore uses relaxed atomics (exercised under TSan).
+///  * There is no process-wide aggregate: the batch engine records each
+///    job's delta in its JobOutcome and sums them per batch
+///    (engine::BatchMetrics::counters).
 ///
 /// This header is dependency-free by design: bdd/manager.hpp includes it.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 
 namespace bddmin::telemetry {
-
-#if defined(BDDMIN_NO_TELEMETRY)
-inline constexpr bool kCountersEnabled = false;
-#else
-inline constexpr bool kCountersEnabled = true;
-#endif
 
 /// Every counted event.  Cache hit/miss pairs must stay adjacent
 /// (hit = base, miss = base + 1): the manager classifies an op tag once
@@ -91,9 +81,7 @@ enum class CacheOpClass : unsigned {
   return Counter::kUserCacheHits;
 }
 
-/// A value snapshot of one bank; supports delta arithmetic.  Always a real
-/// struct (all zeros when telemetry is compiled out) so downstream code —
-/// reports, CSV columns, audits — compiles unconditionally.
+/// A value snapshot of one bank; supports delta arithmetic.
 struct CounterSnapshot {
   std::array<std::uint64_t, kNumCounters> values{};
 
@@ -131,24 +119,6 @@ struct CounterSnapshot {
   [[nodiscard]] bool operator==(const CounterSnapshot&) const noexcept = default;
 };
 
-#if defined(BDDMIN_NO_TELEMETRY)
-
-/// Compiled-out bank: every operation is an empty inline no-op; the
-/// snapshot is all zeros.  sizeof(CounterBank) stays minimal and the hot
-/// paths contain no loads, stores or branches for telemetry.
-class CounterBank {
- public:
-  void bump(Counter) noexcept {}
-  void add(Counter, std::uint64_t) noexcept {}
-  void reset() noexcept {}
-  [[nodiscard]] std::uint64_t value(Counter) const noexcept { return 0; }
-  [[nodiscard]] CounterSnapshot snapshot() const noexcept { return {}; }
-  /// Slot pointer for the governor's step accounting; null disables it.
-  [[nodiscard]] std::uint64_t* step_slot() noexcept { return nullptr; }
-};
-
-#else
-
 /// Per-Manager counter bank.  Plain uint64 — the owning Manager is
 /// single-threaded, so a bump is one increment, no synchronization.
 ///
@@ -180,43 +150,6 @@ class alignas(64) CounterBank {
  private:
   std::array<std::uint64_t, kNumCounters> values_{};
 };
-
-#endif  // BDDMIN_NO_TELEMETRY
-
-/// Process-wide aggregate.  Workers flush one whole-job snapshot at job
-/// end (coarse-grained), so relaxed atomics suffice: there is no ordering
-/// relationship to protect, only the final sums.
-///
-/// Concurrency contract: intentionally *not* a capability — there is no
-/// mutex and no exclusion to express.  Every member is safe from any thread
-/// because each word is individually atomic; a snapshot() concurrent with
-/// add() may observe a torn *set* of counters (some slots before the add,
-/// some after), which is acceptable for monitoring output.  See
-/// docs/CONCURRENCY.md.
-class GlobalCounters {
- public:
-  void add(const CounterSnapshot& s) noexcept {
-    for (std::size_t i = 0; i < kNumCounters; ++i) {
-      values_[i].fetch_add(s.values[i], std::memory_order_relaxed);
-    }
-  }
-  [[nodiscard]] CounterSnapshot snapshot() const noexcept {
-    CounterSnapshot s;
-    for (std::size_t i = 0; i < kNumCounters; ++i) {
-      s.values[i] = values_[i].load(std::memory_order_relaxed);
-    }
-    return s;
-  }
-  void reset() noexcept {
-    for (auto& v : values_) v.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::array<std::atomic<std::uint64_t>, kNumCounters> values_{};
-};
-
-/// The process-global aggregate (never destroyed).
-[[nodiscard]] GlobalCounters& global() noexcept;
 
 /// Prometheus text exposition of a snapshot: one `bddmin_*_total` family
 /// per structural counter, plus a labelled

@@ -18,6 +18,7 @@
 #include "bdd/truth_table.hpp"
 #include "engine/queue.hpp"
 #include "minimize/sibling.hpp"
+#include "telemetry/counters.hpp"
 #include "telemetry/histogram.hpp"
 #include "workload/instances.hpp"
 
@@ -309,6 +310,39 @@ TEST(BatchEngine, DedupOffProducesTheSameReport) {
             report_csv(rep_off, false, /*include_counters=*/true));
 }
 
+TEST(BatchMetricsTable, DuplicatesAreNotCountedTwice) {
+  // Five distinct payloads, the first three duplicated.  The duplicates
+  // copy their representative's outcome (seconds and counters included)
+  // but no worker runs them, so the batch sums must cover only the five.
+  std::vector<Job> jobs = random_jobs(5, 6, 0.4, 4242);
+  const std::size_t distinct = jobs.size();
+  for (std::size_t i = 0; i < 3; ++i) {
+    Job dup = jobs[i];
+    dup.name = "dup_" + dup.name;
+    jobs.push_back(std::move(dup));
+  }
+  EngineOptions opts;
+  opts.num_threads = 2;
+  const BatchReport report = run_batch(jobs, opts);
+  ASSERT_EQ(report.duplicate_jobs, 3u);
+  telemetry::CounterSnapshot rep_counters;
+  double rep_seconds = 0.0;
+  telemetry::CounterSnapshot all_counters;
+  for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
+    const JobOutcome& o = report.outcomes[i];
+    all_counters += o.counters;
+    if (i >= distinct) continue;
+    rep_counters += o.counters;
+    for (const HeuristicResult& r : o.results) rep_seconds += r.seconds;
+  }
+  EXPECT_EQ(report.metrics.counters, rep_counters);
+  EXPECT_DOUBLE_EQ(report.metrics.heuristic_seconds, rep_seconds);
+  EXPECT_NE(report.metrics.counters, all_counters);
+  EXPECT_EQ(report.metrics.job_latency_ns.count, distinct);
+  EXPECT_EQ(report.metrics.job_steps.sum,
+            rep_counters.value(telemetry::Counter::kGovernorSteps));
+}
+
 TEST(BatchEngine, PooledManagersKeepCsvByteIdenticalAcrossThreadCounts) {
   // Many more jobs than workers, so every pooled manager is reset and
   // reused repeatedly; counters in the CSV must still match a run where
@@ -331,7 +365,6 @@ TEST(BatchEngine, PooledManagersKeepCsvByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(BatchMetricsTable, UtilizationTotalsMatchWallTimePerWorker) {
-  if (!telemetry::kHistogramsEnabled) GTEST_SKIP() << "telemetry compiled out";
   const std::vector<Job> jobs = mixed_jobs();
   EngineOptions opts;
   opts.num_threads = 4;
@@ -362,7 +395,6 @@ TEST(BatchMetricsTable, UtilizationTotalsMatchWallTimePerWorker) {
 }
 
 TEST(BatchMetricsTable, SingleThreadNeverSteals) {
-  if (!telemetry::kHistogramsEnabled) GTEST_SKIP() << "telemetry compiled out";
   EngineOptions opts;
   opts.num_threads = 1;
   const BatchReport report = run_batch(random_jobs(4, 6, 0.4, 777), opts);

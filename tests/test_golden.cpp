@@ -5,21 +5,27 @@
 /// counts, the bucket sizes, every heuristic's cumulative node total in
 /// the all / <5 % / >95 % columns and the min / lower-bound ratio against
 /// the values recorded in EXPERIMENTS.md, plus the Table 4 `min` row
-/// computed from the same records.  A refactor of the heuristics,
-/// the BDD kernels or the FSM substrate that moves any of them fails here.
+/// computed from the same records.  It also reruns bench_table2's
+/// sibling-matcher loop and pins the Table 2 identities.  A refactor of
+/// the heuristics, the BDD kernels or the FSM substrate that moves any of
+/// them fails here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bdd/truth_table.hpp"
 #include "experiment_common.hpp"
 #include "harness/stats.hpp"
 #include "minimize/registry.hpp"
+#include "minimize/sibling.hpp"
 
 namespace bddmin {
 namespace {
@@ -105,6 +111,61 @@ TEST(Golden, Table3CallStreamMatchesExperimentsMd) {
     const std::size_t j = index_of(h2h.names, name);
     ASSERT_LT(j, h2h.names.size()) << name;
     EXPECT_EQ(fixed(h2h.pct_smaller[min_row][j], 1), pct) << name;
+  }
+}
+
+TEST(Golden, Table2Identities) {
+  // bench_table2's loop exactly: seed 4094, 1500 random 6-variable
+  // instances, the 12 (criterion, match-compl, no-new-vars) rows of
+  // Table 2 through generic_td, in row order.
+  using minimize::Criterion;
+  const minimize::SiblingOptions rows[] = {
+      {Criterion::kOsdm, false, false}, {Criterion::kOsdm, false, true},
+      {Criterion::kOsdm, true, false},  {Criterion::kOsdm, true, true},
+      {Criterion::kOsm, false, false},  {Criterion::kOsm, false, true},
+      {Criterion::kOsm, true, false},   {Criterion::kOsm, true, true},
+      {Criterion::kTsm, false, false},  {Criterion::kTsm, false, true},
+      {Criterion::kTsm, true, false},   {Criterion::kTsm, true, true},
+  };
+  constexpr std::size_t kRows = std::size(rows);
+  Manager mgr(6);
+  std::mt19937_64 rng(4094);
+  constexpr int kRounds = 1500;
+  // equal[i][j]: rows i and j gave the same cover on every instance.
+  std::vector<std::vector<bool>> equal(kRows, std::vector<bool>(kRows, true));
+  for (int round = 0; round < kRounds; ++round) {
+    const Edge f = from_tt(mgr, rng() & tt_mask(6), 6);
+    std::uint64_t c_tt = rng() & tt_mask(6);
+    if (c_tt == 0) c_tt = 1;
+    const Edge c = from_tt(mgr, c_tt, 6);
+    std::vector<Edge> results;
+    results.reserve(kRows);
+    for (const minimize::SiblingOptions& row : rows) {
+      results.push_back(minimize::generic_td(mgr, row, f, c));
+    }
+    for (std::size_t i = 0; i < kRows; ++i) {
+      for (std::size_t j = 0; j < kRows; ++j) {
+        if (results[i] != results[j]) equal[i][j] = false;
+      }
+    }
+    if (round % 200 == 0) mgr.garbage_collect();
+  }
+
+  // The paper's coincidences (1-based row numbers): 1=3, 2=4, 9=10, 11=12.
+  EXPECT_TRUE(equal[0][2]) << "rows 1 and 3 differ";
+  EXPECT_TRUE(equal[1][3]) << "rows 2 and 4 differ";
+  EXPECT_TRUE(equal[8][9]) << "rows 9 and 10 differ";
+  EXPECT_TRUE(equal[10][11]) << "rows 11 and 12 differ";
+  // ...and no others: the eight remaining heuristics are pairwise
+  // distinguished by at least one instance.
+  const std::size_t distinct[] = {0, 1, 4, 5, 6, 7, 8, 10};
+  for (const std::size_t i : distinct) {
+    for (const std::size_t j : distinct) {
+      if (i < j) {
+        EXPECT_FALSE(equal[i][j])
+            << "rows " << i + 1 << " and " << j + 1 << " coincide";
+      }
+    }
   }
 }
 

@@ -107,11 +107,9 @@ TEST(Kernels, CacheEntriesInteroperateBetweenAndAndDisjoint) {
   ASSERT_EQ(mgr.and_(f, g), kZero);
   const telemetry::CounterSnapshot before = mgr.telemetry();
   EXPECT_TRUE(mgr.disjoint(f, g));
-  if (telemetry::kCountersEnabled) {
-    const telemetry::CounterSnapshot delta = mgr.telemetry() - before;
-    EXPECT_EQ(delta.value(telemetry::Counter::kAndCacheHits), 1u);
-    EXPECT_EQ(delta.value(telemetry::Counter::kAndCacheMisses), 0u);
-  }
+  const telemetry::CounterSnapshot delta = mgr.telemetry() - before;
+  EXPECT_EQ(delta.value(telemetry::Counter::kAndCacheHits), 1u);
+  EXPECT_EQ(delta.value(telemetry::Counter::kAndCacheMisses), 0u);
 }
 
 TEST(Kernels, CountersClassifyKernelTraffic) {
@@ -126,12 +124,10 @@ TEST(Kernels, CountersClassifyKernelTraffic) {
   const telemetry::CounterSnapshot after = mgr.telemetry();
   const auto and_delta = mid - before;
   const auto xor_delta = after - mid;
-  if (telemetry::kCountersEnabled) {
-    EXPECT_GT(and_delta.value(telemetry::Counter::kAndCacheMisses), 0u);
-    EXPECT_EQ(and_delta.value(telemetry::Counter::kXorCacheMisses), 0u);
-    EXPECT_GT(xor_delta.value(telemetry::Counter::kXorCacheMisses), 0u);
-    EXPECT_EQ(xor_delta.value(telemetry::Counter::kAndCacheMisses), 0u);
-  }
+  EXPECT_GT(and_delta.value(telemetry::Counter::kAndCacheMisses), 0u);
+  EXPECT_EQ(and_delta.value(telemetry::Counter::kXorCacheMisses), 0u);
+  EXPECT_GT(xor_delta.value(telemetry::Counter::kXorCacheMisses), 0u);
+  EXPECT_EQ(xor_delta.value(telemetry::Counter::kAndCacheMisses), 0u);
 }
 
 TEST(ManagerReset, RebuildAfterResetIsBitForBitFresh) {
@@ -206,10 +202,8 @@ TEST(CacheGrowth, ResultsSurviveMidRecursionResize) {
               eval_fingerprint(big, big.ite(fb.edge(), gb.edge(), !gb.edge()), 12));
   }
   EXPECT_GT(tiny.cache_log2(), 2u) << "workload never triggered growth";
-  if (telemetry::kCountersEnabled) {
-    EXPECT_GT(tiny.telemetry().value(telemetry::Counter::kCacheGrowths), 0u);
-    EXPECT_EQ(big.telemetry().value(telemetry::Counter::kCacheGrowths), 0u);
-  }
+  EXPECT_GT(tiny.telemetry().value(telemetry::Counter::kCacheGrowths), 0u);
+  EXPECT_EQ(big.telemetry().value(telemetry::Counter::kCacheGrowths), 0u);
   // The grown manager still audits clean, cache tier included.
   analysis::AuditOptions opts;
   opts.level = analysis::AuditLevel::kCache;

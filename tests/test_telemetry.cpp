@@ -7,14 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <random>
-#include <thread>
+#include <sstream>
 
 #include "analysis/audit.hpp"
 #include "analysis/mutate.hpp"
 #include "bdd/bdd.hpp"
 #include "bdd/ops.hpp"
 #include "engine/engine.hpp"
+#include "engine/shard.hpp"
 #include "minimize/registry.hpp"
 #include "minimize/sibling.hpp"
 #include "telemetry/histogram.hpp"
@@ -44,7 +46,6 @@ TEST(Counters, SnapshotArithmetic) {
 }
 
 TEST(Counters, RepeatedIteIsExactlyOneCacheHit) {
-  if (!kCountersEnabled) GTEST_SKIP() << "telemetry compiled out";
   Manager mgr(4);
   const Edge a = mgr.var_edge(0);
   const Edge b = mgr.var_edge(1);
@@ -60,7 +61,6 @@ TEST(Counters, RepeatedIteIsExactlyOneCacheHit) {
 }
 
 TEST(Counters, UniqueTableInsertThenHit) {
-  if (!kCountersEnabled) GTEST_SKIP() << "telemetry compiled out";
   Manager mgr(4);
   const Edge v1 = mgr.var_edge(1);
   const CounterSnapshot s0 = mgr.telemetry();
@@ -77,7 +77,6 @@ TEST(Counters, UniqueTableInsertThenHit) {
 }
 
 TEST(Counters, GcRunsAndReclaimedMatchReturnValue) {
-  if (!kCountersEnabled) GTEST_SKIP() << "telemetry compiled out";
   Manager mgr(8);
   // Unpinned intermediate results become dead nodes.
   Edge f = mgr.var_edge(0);
@@ -91,7 +90,6 @@ TEST(Counters, GcRunsAndReclaimedMatchReturnValue) {
 }
 
 TEST(Counters, SiftSwapsAreCounted) {
-  if (!kCountersEnabled) GTEST_SKIP() << "telemetry compiled out";
   Manager mgr(8);
   // An interleaved conjunction of pair-ANDs whose optimal order differs
   // from the initial one, so sifting has swaps to perform.
@@ -107,7 +105,6 @@ TEST(Counters, SiftSwapsAreCounted) {
 }
 
 TEST(Counters, GovernorStepsMeterWithoutAnInstalledLimit) {
-  if (!kCountersEnabled) GTEST_SKIP() << "telemetry compiled out";
   Manager mgr(8);
   const CounterSnapshot before = mgr.telemetry();
   Edge f = mgr.var_edge(0);
@@ -119,7 +116,6 @@ TEST(Counters, GovernorStepsMeterWithoutAnInstalledLimit) {
 }
 
 TEST(Counters, GovernorStepsAgreeWithStepsUsedUnderALimit) {
-  if (!kCountersEnabled) GTEST_SKIP() << "telemetry compiled out";
   Manager mgr(8);
   ResourceLimits limits;
   limits.step_limit = 1'000'000;  // high enough to never trip
@@ -136,7 +132,6 @@ TEST(Counters, GovernorStepsAgreeWithStepsUsedUnderALimit) {
 }
 
 TEST(Profile, CollectorSplitsStepsAcrossPhases) {
-  if (!kCountersEnabled) GTEST_SKIP() << "telemetry compiled out";
   Manager mgr(8);
   std::mt19937_64 rng(7);
   const minimize::IncSpec spec = workload::random_instance(mgr, 8, 0.4, rng);
@@ -161,7 +156,6 @@ TEST(Profile, CollectorSplitsStepsAcrossPhases) {
 }
 
 TEST(Profile, WithProfileWrapperAccumulates) {
-  if (!kCountersEnabled) GTEST_SKIP() << "telemetry compiled out";
   Manager mgr(8);
   std::mt19937_64 rng(11);
   const minimize::IncSpec spec = workload::random_instance(mgr, 8, 0.4, rng);
@@ -219,7 +213,6 @@ TEST(Audit, TelemetryCrossCheckBalancesOnABusyManager) {
 }
 
 TEST(Audit, TelemetryCrossCheckDetectsAnUnlinkedNode) {
-  if (!kCountersEnabled) GTEST_SKIP() << "telemetry compiled out";
   Manager mgr(8);
   const Bdd pin(mgr, mgr.and_(mgr.var_edge(0),
                               mgr.or_(mgr.var_edge(1), mgr.var_edge(2))));
@@ -292,12 +285,10 @@ TEST(Histogram, BucketBoundariesAreExactBelowSubAndMonotoneAbove) {
 }
 
 TEST(Histogram, QuantilesAreNearestRankOverBucketBounds) {
-  if (!kHistogramsEnabled) GTEST_SKIP() << "telemetry compiled out";
-  Histogram h;
+  HistogramSnapshot s;
   // Values < 16 are in exact buckets, so quantiles are exact order
   // statistics: {1, 2, 3, 4}.
-  for (const std::uint64_t v : {1, 2, 3, 4}) h.record(v);
-  const HistogramSnapshot s = h.snapshot();
+  for (const std::uint64_t v : {1, 2, 3, 4}) s.record(v);
   EXPECT_EQ(s.count, 4u);
   EXPECT_EQ(s.sum, 10u);
   EXPECT_EQ(s.quantile(0.0), 1u);    // rank clamps to 1
@@ -310,151 +301,131 @@ TEST(Histogram, QuantilesAreNearestRankOverBucketBounds) {
   EXPECT_EQ(HistogramSnapshot{}.quantile(0.5), 0u);  // empty -> 0
 }
 
-TEST(Histogram, RecordMergeQuantilesDeterministicAcrossInterleavings) {
-  if (!kHistogramsEnabled) GTEST_SKIP() << "telemetry compiled out";
-  // One fixed multiset, recorded under 1-, 2- and 8-thread
-  // interleavings; snapshots and quantiles must be identical.
+TEST(Histogram, RecordOrderDoesNotChangeCountsOrQuantiles) {
+  // One fixed multiset, recorded forward, in reverse and in a strided
+  // order; the histograms and their quantiles must be identical.
   std::vector<std::uint64_t> values;
   std::uint64_t x = 0x9e3779b97f4a7c15ull;
   for (int i = 0; i < 4096; ++i) {
     x ^= x << 13; x ^= x >> 7; x ^= x << 17;  // xorshift, fixed seed
     values.push_back(x >> (x % 48));
   }
-  HistogramSnapshot snapshots[3];
-  const unsigned counts[3] = {1, 2, 8};
-  for (int run = 0; run < 3; ++run) {
-    Histogram h;
-    const unsigned n = counts[run];
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < n; ++t) {
-      threads.emplace_back([&h, &values, t, n] {
-        for (std::size_t i = t; i < values.size(); i += n) {
-          h.record(values[i]);
-        }
-      });
+  HistogramSnapshot forward;
+  for (const std::uint64_t v : values) forward.record(v);
+  HistogramSnapshot reverse;
+  for (auto it = values.rbegin(); it != values.rend(); ++it) reverse.record(*it);
+  HistogramSnapshot strided;
+  constexpr std::size_t kStride = 8;
+  for (std::size_t start = 0; start < kStride; ++start) {
+    for (std::size_t i = start; i < values.size(); i += kStride) {
+      strided.record(values[i]);
     }
-    for (std::thread& th : threads) th.join();
-    snapshots[run] = h.snapshot();
   }
-  EXPECT_EQ(snapshots[0], snapshots[1]);
-  EXPECT_EQ(snapshots[0], snapshots[2]);
+  EXPECT_EQ(forward.count, values.size());
+  EXPECT_EQ(forward, reverse);
+  EXPECT_EQ(forward, strided);
   for (const double q : {0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_EQ(snapshots[0].quantile(q), snapshots[2].quantile(q)) << q;
+    EXPECT_EQ(forward.quantile(q), strided.quantile(q)) << q;
   }
-  // merge() is lossless: two half-histograms fold into the whole.
-  Histogram left;
-  Histogram right;
+  // Merging is lossless: two half-histograms fold into the whole.
+  HistogramSnapshot left;
+  HistogramSnapshot right;
   for (std::size_t i = 0; i < values.size(); ++i) {
     (i % 2 ? left : right).record(values[i]);
   }
-  Histogram whole;
-  whole.merge(left.snapshot());
-  whole.merge(right.snapshot());
-  EXPECT_EQ(whole.snapshot(), snapshots[0]);
+  HistogramSnapshot whole;
+  whole += left;
+  whole += right;
+  EXPECT_EQ(whole, forward);
 }
 
 TEST(Histogram, PrometheusFamilyRendering) {
-  if (!kHistogramsEnabled) GTEST_SKIP() << "telemetry compiled out";
-  Histogram h;
-  for (const std::uint64_t v : {3, 3, 5, 900}) h.record(v);
+  HistogramSnapshot s;
+  for (const std::uint64_t v : {3, 3, 5, 900}) s.record(v);
   std::string out;
-  append_histogram_series(&out, "t_ns", "k=\"v\"", h.snapshot());
-  // Cumulative counts at the non-empty boundaries, then +Inf == count.
-  EXPECT_NE(out.find("t_ns_bucket{k=\"v\",le=\"3\"} 2"), std::string::npos)
+  append_histogram_family(&out, "t_ns", "A test family", s);
+  EXPECT_EQ(out.rfind("# HELP t_ns A test family\n# TYPE t_ns histogram\n", 0),
+            0u)
       << out;
-  EXPECT_NE(out.find("t_ns_bucket{k=\"v\",le=\"5\"} 3"), std::string::npos);
+  // Cumulative counts at the non-empty boundaries, then +Inf == count.
+  EXPECT_NE(out.find("t_ns_bucket{le=\"3\"} 2"), std::string::npos) << out;
+  EXPECT_NE(out.find("t_ns_bucket{le=\"5\"} 3"), std::string::npos);
   const std::uint64_t b900 =
       histogram_bucket_upper(histogram_bucket_index(900));
-  EXPECT_NE(out.find("t_ns_bucket{k=\"v\",le=\"" + std::to_string(b900) +
-                     "\"} 4"),
+  EXPECT_NE(out.find("t_ns_bucket{le=\"" + std::to_string(b900) + "\"} 4"),
             std::string::npos);
-  EXPECT_NE(out.find("t_ns_bucket{k=\"v\",le=\"+Inf\"} 4"),
-            std::string::npos);
-  EXPECT_NE(out.find("t_ns_sum{k=\"v\"} 911"), std::string::npos);
-  EXPECT_NE(out.find("t_ns_count{k=\"v\"} 4"), std::string::npos);
-  // The global exposition names every well-known family even when empty.
-  GlobalHistograms bank;
-  const std::string families = histogram_prometheus_text(bank);
-  for (const char* needle :
-       {"# TYPE bddmin_job_latency_ns histogram", "bddmin_job_steps_bucket",
-        "bddmin_steal_search_ns_count", "bddmin_queue_depth_sum"}) {
-    EXPECT_NE(families.find(needle), std::string::npos) << needle;
-  }
-  // Labelled latency series appear once recorded into.
-  bank.job_latency(0).record(42);
-  bank.job_latency(7).record(7);  // out-of-range outcome clamps to the last
-  const std::string after = histogram_prometheus_text(bank);
-  const std::uint64_t b42 = histogram_bucket_upper(histogram_bucket_index(42));
-  EXPECT_NE(after.find("bddmin_job_latency_ns_bucket{status=\"ok\",le=\"" +
-                       std::to_string(b42) + "\"} 1"),
-            std::string::npos)
-      << after;
-  EXPECT_NE(after.find("bddmin_job_latency_ns_count{status=\"resource-limit\"} 1"),
-            std::string::npos)
-      << after;
-  EXPECT_EQ(after.find("attempt="), std::string::npos);
+  EXPECT_NE(out.find("t_ns_bucket{le=\"+Inf\"} 4"), std::string::npos);
+  EXPECT_NE(out.find("t_ns_sum 911"), std::string::npos);
+  EXPECT_NE(out.find("t_ns_count 4"), std::string::npos);
 }
 
-TEST(Histogram, CompileOutIsANoOp) {
-  // Meaningful in the -DBDDMIN_TELEMETRY=OFF build: record() must keep
-  // the snapshot all-zero.  In the ON build it checks the opposite.
-  Histogram h;
-  h.record(7);
-  h.record(1 << 20);
-  const HistogramSnapshot s = h.snapshot();
-  if (kHistogramsEnabled) {
-    EXPECT_EQ(s.count, 2u);
-  } else {
-    EXPECT_EQ(s.count, 0u);
-    EXPECT_EQ(s.sum, 0u);
-    EXPECT_EQ(s, HistogramSnapshot{});
-  }
-  // The bucket arithmetic stays available either way (used by tools and
-  // tests); spot-check one value.
-  EXPECT_EQ(histogram_bucket_index(3), 3u);
-}
-
-TEST(Histogram, OutcomeLabelTableMatchesEngineStatusNames) {
-  // telemetry keeps its own copy of the outcome labels so the
-  // dependency stays one-way; this is the pin that keeps them in sync.
-  EXPECT_EQ(kNumOutcomeClasses,
-            static_cast<std::size_t>(engine::JobStatus::kResourceLimit) + 1);
-  for (std::size_t s = 0; s < kNumOutcomeClasses; ++s) {
-    EXPECT_STREQ(kOutcomeLabels[s],
-                 engine::job_status_name(static_cast<engine::JobStatus>(s)))
-        << "outcome class " << s;
-  }
-}
-
-TEST(Global, ProcessWideHistogramsAccumulateBatchLatencies) {
-  if (!kHistogramsEnabled) GTEST_SKIP() << "telemetry compiled out";
-  histograms().reset();
-  const std::vector<engine::Job> jobs = engine::random_jobs(6, 6, 0.3, 11);
+TEST(Prometheus, BatchExpositionIsWellFormed) {
+  const std::vector<engine::Job> jobs = engine::random_jobs(8, 6, 0.3, 11);
   engine::EngineOptions opts;
   opts.num_threads = 2;
+  opts.shard_cost = engine::kDefaultShardCost;
   const engine::BatchReport report = engine::run_batch(jobs, opts);
-  // Every final outcome records one latency sample into the global bank
-  // (all ok on this tiny clean batch) and one governor-steps sample.
-  const HistogramSnapshot latency = histograms().job_latency(0).snapshot();
-  EXPECT_EQ(latency.count, report.outcomes.size() - report.duplicate_jobs);
-  EXPECT_EQ(histograms().job_steps().snapshot().count, latency.count);
-  // The per-run metrics block carries the same distributions.
-  EXPECT_EQ(report.metrics.job_latency_ns.count, latency.count);
-  EXPECT_GE(report.metrics.queue_depth.count, 1u);  // seeded-backlog anchor
-}
+  const std::string text = engine::prometheus_text(report.metrics);
 
-TEST(Global, ProcessWideCountersAccumulateBatchWork) {
-  if (!kCountersEnabled) GTEST_SKIP() << "telemetry compiled out";
-  global().reset();
-  const std::vector<engine::Job> jobs = engine::random_jobs(4, 6, 0.3, 9);
-  engine::EngineOptions opts;
-  opts.num_threads = 2;
-  const engine::BatchReport report = engine::run_batch(jobs, opts);
-  CounterSnapshot expected;
-  for (const engine::JobOutcome& o : report.outcomes) expected += o.counters;
-  const CounterSnapshot seen = global().snapshot();
-  EXPECT_EQ(seen, expected);
-  EXPECT_GT(seen.value(Counter::kUniqueInserts), 0u);
+  // The counter block is exactly the exposition of the summed per-job
+  // counters, and it comes first.
+  CounterSnapshot summed;
+  for (const engine::JobOutcome& o : report.outcomes) summed += o.counters;
+  ASSERT_EQ(report.duplicate_jobs, 0u);
+  const std::string counters = prometheus_text(summed);
+  EXPECT_EQ(text.compare(0, counters.size(), counters), 0) << text;
+  for (const char* family :
+       {"bddmin_unique_inserts_total", "bddmin_unique_hits_total",
+        "bddmin_cache_lookups_total", "bddmin_gc_runs_total",
+        "bddmin_gc_nodes_reclaimed_total", "bddmin_reorder_nodes_freed_total",
+        "bddmin_sift_swaps_total", "bddmin_governor_steps_total",
+        "bddmin_cache_growths_total"}) {
+    EXPECT_NE(text.find(std::string("# TYPE ") + family + " counter\n"),
+              std::string::npos)
+        << family;
+  }
+
+  // Every histogram family is present; within each series the
+  // cumulative `_bucket` counts never decrease, and the `+Inf` bucket
+  // equals the `_count` sample.
+  const std::vector<std::string> histograms = {
+      "bddmin_job_latency_ns", "bddmin_job_steps",  "bddmin_steal_search_ns",
+      "bddmin_queue_depth",    "bddmin_shard_jobs", "bddmin_shard_cost"};
+  std::map<std::string, std::uint64_t> last_bucket;
+  std::map<std::string, std::uint64_t> inf_bucket;
+  std::map<std::string, std::uint64_t> count;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t space = line.rfind(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    const std::string key = line.substr(0, space);
+    const std::uint64_t value = std::stoull(line.substr(space + 1));
+    const std::size_t bucket = key.find("_bucket{le=\"");
+    if (bucket != std::string::npos) {
+      const std::string family = key.substr(0, bucket);
+      EXPECT_GE(value, last_bucket[family]) << line;
+      last_bucket[family] = value;
+      if (key.find("le=\"+Inf\"") != std::string::npos) {
+        inf_bucket[family] = value;
+      }
+    } else if (key.size() > 6 && key.ends_with("_count")) {
+      count[key.substr(0, key.size() - 6)] = value;
+    }
+  }
+  for (const std::string& family : histograms) {
+    EXPECT_NE(text.find("# TYPE " + family + " histogram\n"),
+              std::string::npos)
+        << family;
+    ASSERT_TRUE(count.contains(family)) << family;
+    ASSERT_TRUE(inf_bucket.contains(family)) << family;
+    EXPECT_EQ(inf_bucket[family], count[family]) << family;
+  }
+  EXPECT_EQ(count.size(), histograms.size());
+  EXPECT_EQ(count["bddmin_job_latency_ns"], jobs.size());
+  EXPECT_EQ(count["bddmin_job_steps"], jobs.size());
+  EXPECT_EQ(count["bddmin_shard_jobs"], report.metrics.shards);
 }
 
 }  // namespace

@@ -82,12 +82,13 @@
 ///     src/analysis/failpoint.hpp).
 ///
 /// bddmin_cli stats [batch flags]
-///     Run the same batch as `batch` (all flags accepted) and print the
-///     process-wide telemetry counters as Prometheus text exposition —
-///     unique-table inserts/hits, computed-cache hits/misses per op
-///     class, GC work, sift swaps and governor steps — followed by the
-///     histogram families (job latency by outcome, governor
-///     steps, steal-search latency, queue depth).
+///     Run the same batch as `batch` (all flags accepted) and print that
+///     batch's metrics record as Prometheus text exposition — the
+///     telemetry counters summed over the jobs run (unique-table
+///     inserts/hits, computed-cache hits/misses per op class, GC work,
+///     sift swaps, governor steps) followed by the histogram families
+///     (job latency, governor steps, steal-search latency, queue depth,
+///     jobs and cost per shard).
 ///
 /// bddmin_cli stress [--workload NAME] [--seed S] [--threads T]
 ///                   [--steps K] [--wall-seconds W] [--audit-level L]
@@ -143,7 +144,6 @@
 #include "pla/pla.hpp"
 #include "stress/runner.hpp"
 #include "stress/workloads.hpp"
-#include "telemetry/counters.hpp"
 #include "telemetry/histogram.hpp"
 
 namespace {
@@ -476,17 +476,12 @@ void metrics_histogram(harness::JsonWriter& w, const std::string& name,
 /// latency/steps/steal/queue-depth histogram summaries, steal totals,
 /// the per-worker busy/steal/sink/idle decomposition and (schema 2) the
 /// shard plan plus the scheduler-overhead split: heuristic_seconds is
-/// the summed per-heuristic minimize time, so busy - heuristic is the
+/// the summed per-heuristic minimize time of the jobs the workers ran
+/// (dedup duplicates excluded, like busy time), so busy - heuristic is the
 /// per-job fixed cost (decode, reset, governor, validation, delivery).
 /// hardware_concurrency lets the report flag oversubscription on its own.
 std::string metrics_json(const engine::BatchReport& report) {
   const engine::BatchMetrics& m = report.metrics;
-  double heuristic_seconds = 0.0;
-  for (const engine::JobOutcome& o : report.outcomes) {
-    for (const engine::HeuristicResult& r : o.results) {
-      heuristic_seconds += r.seconds;
-    }
-  }
   double busy_seconds = 0.0;
   for (const engine::WorkerUtilization& u : m.workers) {
     busy_seconds += u.busy_seconds;
@@ -494,7 +489,6 @@ std::string metrics_json(const engine::BatchReport& report) {
   harness::JsonWriter w;
   w.begin_object();
   w.kv("schema_version", 2);
-  w.kv("telemetry_enabled", telemetry::kHistogramsEnabled);
   w.kv("threads", report.num_threads);
   w.kv("hardware_concurrency", std::thread::hardware_concurrency());
   w.kv("jobs", static_cast<std::uint64_t>(report.outcomes.size()));
@@ -509,10 +503,10 @@ std::string metrics_json(const engine::BatchReport& report) {
   w.end_object();
   w.key("overhead").begin_object();
   w.kv("busy_seconds", busy_seconds);
-  w.kv("heuristic_seconds", heuristic_seconds);
+  w.kv("heuristic_seconds", m.heuristic_seconds);
   w.kv("overhead_fraction",
        busy_seconds > 0.0
-           ? std::max(0.0, 1.0 - heuristic_seconds / busy_seconds)
+           ? std::max(0.0, 1.0 - m.heuristic_seconds / busy_seconds)
            : 0.0);
   w.end_object();
   metrics_histogram(w, "job_latency_ns", m.job_latency_ns);
@@ -628,14 +622,8 @@ int cmd_batch(int argc, char** argv) {
 int cmd_stats(int argc, char** argv) {
   const std::vector<engine::Job> jobs = batch_jobs(argc, argv);
   const engine::EngineOptions opts = batch_options(argc, argv);
-  telemetry::global().reset();      // expose only this batch's work
-  telemetry::histograms().reset();  // same for the histogram bank
   const engine::BatchReport report = engine::run_batch(jobs, opts);
-  std::printf("%s",
-              telemetry::prometheus_text(telemetry::global().snapshot()).c_str());
-  std::printf("%s",
-              telemetry::histogram_prometheus_text(telemetry::histograms())
-                  .c_str());
+  std::printf("%s", engine::prometheus_text(report.metrics).c_str());
   return batch_exit_code(report);
 }
 
@@ -771,8 +759,8 @@ int main(int argc, char** argv) {
                " [--metrics PATH]\n"
                "                   [--shard-cost C] [--no-shard]"
                " [--journal-group-commit]\n"
-               "  bddmin_cli stats [batch flags]  (prints Prometheus-style"
-               " telemetry counters + histograms)\n"
+               "  bddmin_cli stats [batch flags]  (prints the batch's"
+               " counters + histograms as Prometheus text)\n"
                "  bddmin_cli failpoints [--describe]  (lists the registered"
                " fault-injection points)\n"
                "  bddmin_cli stress [--workload NAME] [--seed S]"
