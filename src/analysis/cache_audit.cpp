@@ -8,16 +8,18 @@
 /// 1. No slot claims an epoch from the future (invalidation monotonicity).
 /// 2. Every live slot decodes to in-range, non-free operand/result nodes
 ///    and a known operation tag.  Known tags are the manager's own (ITE,
-///    AND, XOR, the disjointness marker), the ops.cpp traversal tags
-///    (cofactor, exists, and-exists, compose — whose keys partly encode
-///    variables, not edges, and are decoded accordingly) and the client
-///    range (>= kUserOpBase); anything else in the reserved range is a
-///    corruption finding.
+///    AND, XOR, the disjointness marker, the agree verdict), the ops.cpp
+///    traversal tags (cofactor, exists, and-exists, compose — whose keys
+///    partly encode variables, not edges, and are decoded accordingly) and
+///    the client range (>= kUserOpBase); anything else in the reserved
+///    range is a corruption finding.
 /// 3. Live ITE/AND/XOR slots replay correctly: recomputing the operation
 ///    with a fresh, cache-free recursion must reproduce the memoized edge
 ///    bit for bit — canonicity turns semantic equality into edge
 ///    comparison.  Disjointness markers assert result == 1 and that the
-///    operands genuinely intersect (uncached AND is nonzero).
+///    operands genuinely intersect (uncached AND is nonzero).  Agree
+///    verdicts must be 1 or 0, matching whether the uncached (a XOR b)·c
+///    is 0.
 ///
 /// Epoch semantics make stale slots (older epoch) legal even when they
 /// reference freed nodes; they are skipped, exactly as cache_lookup skips
@@ -82,6 +84,7 @@ void audit_cache(Manager& mgr, std::size_t replay_limit, AuditReport& report) {
   const std::uint32_t op_and = ManagerAccess::op_and();
   const std::uint32_t op_xor = ManagerAccess::op_xor();
   const std::uint32_t op_disjoint = ManagerAccess::op_disjoint();
+  const std::uint32_t op_agree = ManagerAccess::op_agree();
 
   // Pass 1: validate every live slot *before* replay — replays allocate
   // nodes and could resurrect a freed slot an entry dangles into.
@@ -109,8 +112,8 @@ void audit_cache(Manager& mgr, std::size_t replay_limit, AuditReport& report) {
     bool known = true;
     std::vector<Edge> edge_operands{a, slot.result};
     if (op == op_ite || op == op_and || op == op_xor || op == op_disjoint ||
-        op == cache_tag::kExists || op == cache_tag::kAndExists ||
-        op >= Manager::kUserOpBase) {
+        op == op_agree || op == cache_tag::kExists ||
+        op == cache_tag::kAndExists || op >= Manager::kUserOpBase) {
       edge_operands.push_back(b);
       edge_operands.push_back(c);
     } else if (op == cache_tag::kCofactor) {
@@ -139,7 +142,8 @@ void audit_cache(Manager& mgr, std::size_t replay_limit, AuditReport& report) {
       }
     }
     if (!operands_ok) continue;
-    if (op == op_ite || op == op_and || op == op_xor || op == op_disjoint) {
+    if (op == op_ite || op == op_and || op == op_xor || op == op_disjoint ||
+        op == op_agree) {
       replayable.push_back({op, a, b, c, slot.result});
     }
   }
@@ -147,7 +151,8 @@ void audit_cache(Manager& mgr, std::size_t replay_limit, AuditReport& report) {
   // Pass 2: replay the manager's own entries through the uncached
   // recursion.  The kernels are ITE specializations, so one oracle covers
   // all of them: AND(a,b) = ite(a,b,0), XOR(a,b) = ite(a,!b,b); a
-  // disjointness marker asserts the operands intersect.
+  // disjointness marker asserts the operands intersect, and an agree
+  // verdict is 1 iff ite(ite(a,!b,b), c, 0) is 0.
   std::map<std::array<std::uint32_t, 3>, Edge> memo;
   for (const LiveEntry& entry : replayable) {
     if (replay_limit != 0 && report.cache_replays >= replay_limit) break;
@@ -164,6 +169,25 @@ void audit_cache(Manager& mgr, std::size_t replay_limit, AuditReport& report) {
                    entry_str(entry.op, entry.a, entry.b, entry.c) +
                        " marks the operands as intersecting but their "
                        "uncached AND is 0");
+      }
+      continue;
+    }
+    if (entry.op == op_agree) {
+      if (entry.result != kOne && entry.result != kZero) {
+        report.add(Category::kCache,
+                   entry_str(entry.op, entry.a, entry.b, entry.c) +
+                       " is an agree verdict whose result is not 0 or 1");
+        continue;
+      }
+      const Edge differ = uncached_ite(mgr, entry.a, !entry.b, entry.b, memo);
+      const bool agree =
+          uncached_ite(mgr, differ, entry.c, kZero, memo) == kZero;
+      if (agree != (entry.result == kOne)) {
+        report.add(Category::kCache,
+                   entry_str(entry.op, entry.a, entry.b, entry.c) +
+                       " memoizes agree = " + edge_str(entry.result) +
+                       " but the uncached (a XOR b)·c is " +
+                       (agree ? "0" : "nonzero"));
       }
       continue;
     }

@@ -11,7 +11,8 @@
 /// inside this file.
 ///
 /// Layout of the tag space:
-///   1..7    manager-internal recursions (ite and the apply kernels);
+///   1..7    manager-internal recursions (ite, the apply kernels and the
+///           early-exit predicates);
 ///   8..63   budgeted free-function recursions (bdd/ops.cpp);
 ///   >= 64   (`kUserBase`, aka Manager::kUserOpBase) client algorithms —
 ///           carve new client tags as `kUserBase + n` HERE, not locally.
@@ -30,6 +31,7 @@ inline constexpr std::uint32_t kIte = 1;       ///< Manager::ite
 inline constexpr std::uint32_t kAnd = 2;       ///< and_kernel (+ leq/disjoint subproofs)
 inline constexpr std::uint32_t kXor = 3;       ///< xor_kernel
 inline constexpr std::uint32_t kDisjoint = 4;  ///< disjoint_rec intersection markers
+inline constexpr std::uint32_t kAgree = 5;     ///< Manager::agree verdicts (kOne/kZero)
 
 // ---- Budgeted free-function recursions, bdd/ops.cpp (range 8..63) ------
 inline constexpr std::uint32_t kCofactor = 8;

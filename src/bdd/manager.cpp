@@ -26,8 +26,8 @@ constexpr std::uint64_t cache_hash(std::uint64_t k1, std::uint64_t k2) noexcept 
 }
 
 /// Counter pair (hit = returned value, miss = value + 1) for a cache op
-/// tag.  The disjoint marker tag belongs to the "and" class: those probes
-/// are the early-exit containment walk of the AND family.  Remaining
+/// tag.  The disjoint marker and agree tags belong to the "and" class:
+/// those probes are the early-exit walks of the AND family.  Remaining
 /// reserved manager tags and the client tags (>= kUserOpBase) fall into
 /// the "user" class.
 constexpr telemetry::Counter cache_hit_counter_of(std::uint32_t op) noexcept {
@@ -36,7 +36,8 @@ constexpr telemetry::Counter cache_hit_counter_of(std::uint32_t op) noexcept {
   if (op == analysis::ManagerAccess::op_ite()) {
     cls = CacheOpClass::kIte;
   } else if (op == analysis::ManagerAccess::op_and() ||
-             op == analysis::ManagerAccess::op_disjoint()) {
+             op == analysis::ManagerAccess::op_disjoint() ||
+             op == analysis::ManagerAccess::op_agree()) {
     cls = CacheOpClass::kAnd;
   } else if (op == analysis::ManagerAccess::op_xor()) {
     cls = CacheOpClass::kXor;
@@ -52,6 +53,17 @@ constexpr telemetry::Counter cache_hit_counter_of(std::uint32_t op) noexcept {
 
 /// How often cache_insert re-evaluates the adaptive-growth condition.
 constexpr std::uint64_t kGrowthCheckInterval = 4096;
+
+/// Input pattern word of variable \p var for signature(): bit i is the
+/// variable's value in pattern i.  One splitmix64 output per variable, a
+/// constant of the variable's name, so signatures agree across managers
+/// and survive reordering.
+constexpr std::uint64_t pattern_word(std::uint32_t var) noexcept {
+  std::uint64_t z = std::uint64_t{var} + 0x9E3779B97F4A7C15ull;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
 
 }  // namespace
 
@@ -651,6 +663,56 @@ bool Manager::disjoint_rec(Edge f, Edge g) {
   }
   cache_insert(and_key, kZero);  // genuine AND result: f & g == 0
   return true;
+}
+
+bool Manager::agree(Edge f, Edge g, Edge c) {
+  // Terminal cases: nothing to compare off the care set or between equal
+  // functions; distinct functions differ somewhere, so on c == 1 they
+  // disagree, and complementary ones disagree everywhere (c != 0 here).
+  if (c == kZero || f == g) return true;
+  if (f == !g || c == kOne) return false;
+  // XOR is symmetric and invariant under complementing both operands:
+  // order by bits, then make f regular, so the up-to-eight spellings of
+  // one query share one cache entry.
+  if (f.bits > g.bits) std::swap(f, g);
+  if (f.complemented()) {
+    f = !f;
+    g = !g;
+  }
+  Edge cached;
+  const CacheKey key = cache_key(cache_tag::kAgree, f, g, c);
+  if (cache_lookup(key, &cached)) return cached == kOne;
+  governor_.charge_step();
+  const std::uint32_t v = top_var(f, g, c);
+  const auto [f1, f0] = branches(f, v);
+  const auto [g1, g0] = branches(g, v);
+  const auto [c1, c0] = branches(c, v);
+  // Early exit: the first disagreeing cofactor triple answers the query.
+  const bool result = agree(f1, g1, c1) && agree(f0, g0, c0);
+  cache_insert(key, result ? kOne : kZero);
+  return result;
+}
+
+std::uint64_t Manager::signature(Edge e) const {
+  // Sized once up front: the recursion allocates nothing, so the slot
+  // references it holds stay valid.
+  if (signatures_.size() < nodes_.size()) signatures_.resize(nodes_.size());
+  return signature_rec(e);
+}
+
+std::uint64_t Manager::signature_rec(Edge e) const noexcept {
+  std::uint64_t sig = ~0ull;  // the terminal is 1 under every pattern
+  if (!is_const(e)) {
+    SignatureSlot& slot = signatures_[e.index()];
+    if (slot.epoch != cache_epoch_) {
+      const Node& n = nodes_[e.index()];
+      const std::uint64_t x = pattern_word(n.var);
+      slot.sig = (x & signature_rec(n.hi)) | (~x & signature_rec(n.lo));
+      slot.epoch = cache_epoch_;
+    }
+    sig = slot.sig;
+  }
+  return e.complemented() ? ~sig : sig;
 }
 
 // ---------------------------------------------------------------------

@@ -217,6 +217,21 @@ class BDDMIN_CAPABILITY("Manager") Manager {
   /// cache entries with and_kernel (a disjoint subproof is an AND->0
   /// result and vice versa).
   [[nodiscard]] bool disjoint(Edge f, Edge g);
+  /// f and g agree wherever c holds: (f XOR g)·c == 0.  Early-terminating
+  /// like disjoint(): walks the three operands in lock step, stops at the
+  /// first point of c where f and g differ, and builds no nodes.  Both
+  /// verdicts are memoized under cache_tag::kAgree.
+  [[nodiscard]] bool agree(Edge f, Edge g, Edge c);
+
+  // ---- Simulation signatures --------------------------------------------
+  /// Value of \p e under 64 fixed input patterns: bit i is e evaluated at
+  /// pattern i, in which variable v takes bit i of a constant splitmix64
+  /// word of v.  Two functions with different signatures differ on a
+  /// concrete point; equal signatures prove nothing.  Memoized per node
+  /// slot and stamped with the computed-cache epoch, so an entry dies
+  /// exactly when cache entries do (every path that frees a slot bumps the
+  /// epoch); reordering keeps each node's function and keeps the memo.
+  [[nodiscard]] std::uint64_t signature(Edge e) const;
 
   // ---- Reference counting & garbage collection -------------------------
   void ref(Edge e) noexcept;
@@ -349,6 +364,7 @@ class BDDMIN_CAPABILITY("Manager") Manager {
   void grow_buckets(SubTable& table);
   [[nodiscard]] static std::size_t node_hash(Edge hi, Edge lo) noexcept;
   [[nodiscard]] bool disjoint_rec(Edge f, Edge g);
+  [[nodiscard]] std::uint64_t signature_rec(Edge e) const noexcept;
   void maybe_grow_cache() noexcept;
   void grow_cache() noexcept;
 
@@ -387,6 +403,13 @@ class BDDMIN_CAPABILITY("Manager") Manager {
   // observation, not logical state — a const Manager still meters.
   mutable telemetry::CounterBank counters_;
   mutable VisitScratch visit_scratch_;
+  /// signature() memo, indexed by node slot: live iff its epoch matches
+  /// cache_epoch_.  Mutable like the cache: memoization is not logical state.
+  struct SignatureSlot {
+    std::uint64_t epoch = ~0ull;  // never a live epoch
+    std::uint64_t sig = 0;        // signature of the regular edge to the slot
+  };
+  mutable std::vector<SignatureSlot> signatures_;
   ResourceGovernor governor_;
   std::size_t live_count_ = 0;  // nodes with ref > 0
   std::size_t dead_count_ = 0;  // allocated nodes with ref == 0

@@ -5,17 +5,15 @@
 namespace bddmin::minimize {
 
 bool is_cover(Manager& mgr, Edge g, IncSpec spec) {
-  return mgr.and_(mgr.xor_(g, spec.f), spec.c) == kZero;
+  return mgr.agree(g, spec.f, spec.c);
 }
 
 bool is_icover(Manager& mgr, IncSpec outer, IncSpec inner) {
-  if (!mgr.leq(inner.c, outer.c)) return false;
-  return mgr.and_(mgr.xor_(outer.f, inner.f), inner.c) == kZero;
+  return mgr.leq(inner.c, outer.c) && mgr.agree(outer.f, inner.f, inner.c);
 }
 
 bool same_function(Manager& mgr, IncSpec a, IncSpec b) {
-  if (a.c != b.c) return false;
-  return mgr.and_(mgr.xor_(a.f, b.f), a.c) == kZero;
+  return a.c == b.c && mgr.agree(a.f, b.f, a.c);
 }
 
 double c_onset_fraction(Manager& mgr, IncSpec spec) {

@@ -86,55 +86,63 @@ double path_distance(const CubeVec& a, const CubeVec& b) {
   return d;
 }
 
-std::vector<std::size_t> fmm_osm(Manager& mgr, std::span<const IncSpec> specs) {
-  const telemetry::PhaseScope phase(telemetry::Phase::kMatching);
+MatchGraph match_graph(Manager& mgr, Criterion crit,
+                       std::span<const IncSpec> specs) {
+  BDDMIN_CHECK(crit == Criterion::kOsm || crit == Criterion::kTsm);
   const std::size_t r = specs.size();
-  // adjacency[j*r + k] = 1 iff [f_j, c_j] osm [f_k, c_k]
-  std::vector<std::uint8_t> adjacency(r * r, 0);
-  std::vector<bool> has_out(r, false);
+  MatchGraph graph{r, std::vector<std::uint8_t>(r * r, 0)};
+  // Filter-then-prove: 64-pattern signatures rule out most non-matching
+  // pairs with a few word operations; only the survivors pay for the
+  // exact, BDD-walking matches().
+  std::vector<SpecSignature> sig(r);
+  for (std::size_t j = 0; j < r; ++j) sig[j] = signature_of(mgr, specs[j]);
+  const bool symmetric = crit == Criterion::kTsm;
   for (std::size_t j = 0; j < r; ++j) {
-    for (std::size_t k = 0; k < r; ++k) {
-      if (j == k) continue;
-      if (matches(mgr, Criterion::kOsm, specs[j], specs[k])) {
-        adjacency[j * r + k] = 1;
-        has_out[j] = true;
+    for (std::size_t k = symmetric ? j + 1 : 0; k < r; ++k) {
+      if (j == k || signatures_rule_out(crit, sig[j], sig[k])) continue;
+      if (matches(mgr, crit, specs[j], specs[k])) {
+        graph.adjacency[j * r + k] = 1;
+        if (symmetric) graph.adjacency[k * r + j] = 1;
       }
     }
   }
+  return graph;
+}
+
+std::vector<std::size_t> osm_sinks(const MatchGraph& dmg) {
+  const std::size_t r = dmg.r;
   // Map every vertex to a reachable sink.  The DMG is acyclic for
   // distinct functions (Proposition 10), and osm transitivity makes the
   // sink a direct i-cover of every vertex on the way.
   std::vector<std::size_t> rep(r, SIZE_MAX);
   auto resolve = [&](auto&& self, std::size_t j) -> std::size_t {
     if (rep[j] != SIZE_MAX) return rep[j];
-    if (!has_out[j]) return rep[j] = j;
     for (std::size_t k = 0; k < r; ++k) {
-      if (adjacency[j * r + k]) return rep[j] = self(self, k);
+      if (dmg.edge(j, k)) return rep[j] = self(self, k);
     }
-    return rep[j] = j;  // unreachable: has_out implies an edge exists
+    return rep[j] = j;  // no out-edge: a sink
   };
   for (std::size_t j = 0; j < r; ++j) resolve(resolve, j);
   return rep;
 }
 
-CliqueCover fmm_tsm(Manager& mgr, std::span<const IncSpec> specs,
-                    std::span<const CubeVec> paths, const LevelOptions& opts) {
+std::vector<std::size_t> fmm_osm(Manager& mgr, std::span<const IncSpec> specs) {
   const telemetry::PhaseScope phase(telemetry::Phase::kMatching);
-  const std::size_t r = specs.size();
-  std::vector<std::uint8_t> adjacency(r * r, 0);
-  std::vector<std::size_t> degree(r, 0);
-  for (std::size_t j = 0; j < r; ++j) {
-    for (std::size_t k = j + 1; k < r; ++k) {
-      if (matches(mgr, Criterion::kTsm, specs[j], specs[k])) {
-        adjacency[j * r + k] = adjacency[k * r + j] = 1;
-        ++degree[j];
-        ++degree[k];
-      }
-    }
-  }
+  return osm_sinks(match_graph(mgr, Criterion::kOsm, specs));
+}
+
+CliqueCover clique_cover(const MatchGraph& umg, std::span<const CubeVec> paths,
+                         const LevelOptions& opts) {
+  const std::size_t r = umg.r;
   std::vector<std::size_t> seed_order(r);
   for (std::size_t j = 0; j < r; ++j) seed_order[j] = j;
   if (opts.order_by_degree) {
+    std::vector<std::size_t> degree(r, 0);
+    for (std::size_t j = 0; j < r; ++j) {
+      degree[j] = static_cast<std::size_t>(
+          std::count(umg.adjacency.begin() + j * r,
+                     umg.adjacency.begin() + (j + 1) * r, std::uint8_t{1}));
+    }
     std::stable_sort(seed_order.begin(), seed_order.end(),
                      [&](std::size_t a, std::size_t b) {
                        return degree[a] > degree[b];
@@ -156,9 +164,8 @@ CliqueCover fmm_tsm(Manager& mgr, std::span<const IncSpec> specs,
       for (std::size_t w = 0; w < r; ++w) {
         if (cover.clique_of[w] != SIZE_MAX) continue;
         const bool adjacent_to_all =
-            std::all_of(clique.begin(), clique.end(), [&](std::size_t u) {
-              return adjacency[u * r + w] != 0;
-            });
+            std::all_of(clique.begin(), clique.end(),
+                        [&](std::size_t u) { return umg.edge(u, w); });
         if (!adjacent_to_all) continue;
         double weight = 0.0;
         if (use_weights) {
@@ -179,6 +186,12 @@ CliqueCover fmm_tsm(Manager& mgr, std::span<const IncSpec> specs,
     cover.cliques.push_back(std::move(clique));
   }
   return cover;
+}
+
+CliqueCover fmm_tsm(Manager& mgr, std::span<const IncSpec> specs,
+                    std::span<const CubeVec> paths, const LevelOptions& opts) {
+  const telemetry::PhaseScope phase(telemetry::Phase::kMatching);
+  return clique_cover(match_graph(mgr, Criterion::kTsm, specs), paths, opts);
 }
 
 IncSpec merge_clique(Manager& mgr, std::span<const IncSpec> specs,

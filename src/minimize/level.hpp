@@ -68,8 +68,31 @@ struct CollectedLevel {
 /// positions of |x_i^g - x_i^h| * 2^(k-i-1); absent positions are skipped.
 [[nodiscard]] double path_distance(const CubeVec& a, const CubeVec& b);
 
-/// Solve FMM under osm: returns rep[j] = index of the sink vertex whose
-/// [f, c] i-covers vertex j (rep[j] == j for sinks).
+/// The matching graph over r collected functions: edge (j, k) means
+/// vertex j matches vertex k.  Directed under osm (the DMG), symmetric
+/// under tsm (the UMG).
+struct MatchGraph {
+  std::size_t r = 0;
+  std::vector<std::uint8_t> adjacency;  ///< adjacency[j*r + k]
+
+  [[nodiscard]] bool edge(std::size_t j, std::size_t k) const noexcept {
+    return adjacency[j * r + k] != 0;
+  }
+  friend bool operator==(const MatchGraph&, const MatchGraph&) = default;
+};
+
+/// Build the osm or tsm matching graph filter-then-prove: a pair whose
+/// simulation signatures witness a mismatch (signatures_rule_out) is
+/// skipped, and only the surviving pairs run the exact matches().  The
+/// graph equals the one from matches() on every pair.
+[[nodiscard]] MatchGraph match_graph(Manager& mgr, Criterion crit,
+                                     std::span<const IncSpec> specs);
+
+/// Solve FMM on a DMG: rep[j] = index of the sink vertex whose [f, c]
+/// i-covers vertex j (rep[j] == j for sinks).
+[[nodiscard]] std::vector<std::size_t> osm_sinks(const MatchGraph& dmg);
+
+/// Solve FMM under osm: osm_sinks of the osm matching graph.
 [[nodiscard]] std::vector<std::size_t> fmm_osm(Manager& mgr,
                                                std::span<const IncSpec> specs);
 
@@ -77,10 +100,17 @@ struct CollectedLevel {
 struct CliqueCover {
   std::vector<std::vector<std::size_t>> cliques;
   std::vector<std::size_t> clique_of;
+
+  friend bool operator==(const CliqueCover&, const CliqueCover&) = default;
 };
 
-/// Solve FMM under tsm with the greedy clique-cover heuristic.  \p paths
-/// may be empty when weight_by_distance is off.
+/// The greedy clique cover of a UMG with the two optimizations selected by
+/// \p opts.  \p paths may be empty when weight_by_distance is off.
+[[nodiscard]] CliqueCover clique_cover(const MatchGraph& umg,
+                                       std::span<const CubeVec> paths,
+                                       const LevelOptions& opts);
+
+/// Solve FMM under tsm: clique_cover of the tsm matching graph.
 [[nodiscard]] CliqueCover fmm_tsm(Manager& mgr, std::span<const IncSpec> specs,
                                   std::span<const CubeVec> paths,
                                   const LevelOptions& opts);

@@ -21,12 +21,12 @@ bool matches(Manager& mgr, Criterion crit, IncSpec a, IncSpec b) {
       return a.c == kZero;
     case Criterion::kOsm:
       // Differences confined to a's DC set, and a's DC set contains b's.
-      // disjoint()/leq() walk early-exit: the first violating path answers
-      // without materializing the product BDD.
-      return mgr.disjoint(mgr.xor_(a.f, b.f), a.c) && mgr.leq(a.c, b.c);
+      // agree()/leq() walk early-exit: the first violating path answers
+      // without materializing the difference BDD.
+      return mgr.agree(a.f, b.f, a.c) && mgr.leq(a.c, b.c);
     case Criterion::kTsm:
       // Agreement wherever both care.
-      return mgr.disjoint(mgr.and_(mgr.xor_(a.f, b.f), a.c), b.c);
+      return mgr.agree(a.f, b.f, mgr.and_(a.c, b.c));
   }
   return false;
 }

@@ -15,6 +15,7 @@
 /// tsm yields [f1·c1 + f2·c2, c1 + c2].
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string_view>
 
@@ -29,6 +30,38 @@ enum class Criterion { kOsdm, kOsm, kTsm };
 /// Directional test: does \p a match \p b under \p crit?  (tsm is
 /// symmetric; osdm and osm are not.)
 [[nodiscard]] bool matches(Manager& mgr, Criterion crit, IncSpec a, IncSpec b);
+
+/// Simulation signatures (Manager::signature) of an IncSpec's value
+/// function and care set over the same 64 input patterns.
+struct SpecSignature {
+  std::uint64_t f = 0;
+  std::uint64_t c = 0;
+};
+
+[[nodiscard]] inline SpecSignature signature_of(const Manager& mgr,
+                                                IncSpec spec) {
+  return {mgr.signature(spec.f), mgr.signature(spec.c)};
+}
+
+/// The filter half of filter-then-prove matching: true when some pattern
+/// is a concrete witness that \p a cannot match \p b under \p crit, so
+/// matches() would return false.  Sound, not complete — a false here
+/// proves nothing and the pair still needs matches().
+///  * osdm: a's care set holds at a pattern;
+///  * osm:  at a pattern of a's care set the values differ, or a cares
+///          where b does not;
+///  * tsm:  at a pattern where both care the values differ.
+[[nodiscard]] constexpr bool signatures_rule_out(Criterion crit,
+                                                 SpecSignature a,
+                                                 SpecSignature b) noexcept {
+  const std::uint64_t differ = a.f ^ b.f;
+  switch (crit) {
+    case Criterion::kOsdm: return a.c != 0;
+    case Criterion::kOsm: return ((differ & a.c) | (a.c & ~b.c)) != 0;
+    case Criterion::kTsm: return (differ & a.c & b.c) != 0;
+  }
+  return false;
+}
 
 /// The common i-cover produced when \p a matches \p b (precondition:
 /// matches(mgr, crit, a, b)).

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "analysis/access.hpp"
 #include "analysis/audit.hpp"
 #include "analysis/cover_audit.hpp"
 #include "analysis/mutate.hpp"
@@ -74,6 +75,33 @@ TEST(Audit, StaleCacheEntriesAreLegal) {
   AuditReport report = full_audit(mgr);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.cache_replays, 0u);
+}
+
+TEST(Audit, FlippedAgreeVerdictIsReported) {
+  Manager mgr(8);
+  const std::vector<Bdd> roots = populate(mgr, 59);
+  // blend equals roots[0] on roots[2]: a true verdict, recursed and cached.
+  const Edge blend = mgr.ite(roots[2].edge(), roots[0].edge(), roots[1].edge());
+  ASSERT_TRUE(mgr.agree(roots[0].edge(), blend, roots[2].edge()));
+  (void)mgr.agree(roots[0].edge(), roots[1].edge(), roots[3].edge());
+  ASSERT_TRUE(full_audit(mgr).ok());
+  // Flip the first live kAgree verdict found.
+  auto& sets = analysis::ManagerAccess::cache(mgr);
+  const std::uint64_t epoch = analysis::ManagerAccess::cache_epoch(mgr);
+  bool flipped = false;
+  for (std::size_t i = 0; i < sets.size() * 2 && !flipped; ++i) {
+    auto& slot = sets[i >> 1].way[i & 1];
+    if (slot.k1 == ~0ull || slot.epoch != epoch ||
+        (slot.k1 >> 32) != analysis::ManagerAccess::op_agree()) {
+      continue;
+    }
+    slot.result = !slot.result;
+    flipped = true;
+  }
+  ASSERT_TRUE(flipped) << "no live kAgree entry to flip";
+  AuditReport report = full_audit(mgr);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(report.has(Category::kCache)) << report.summary();
 }
 
 TEST(Audit, ExactRootsAccountForEveryExternalRef) {

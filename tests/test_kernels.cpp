@@ -2,11 +2,14 @@
 /// \brief Specialized apply kernels and the adaptive computed cache:
 /// differential tests of and_kernel/xor_kernel (and every connective
 /// rerouted onto them) against the ITE oracle, the early-exit
-/// leq/disjoint predicates, Manager::reset() reuse, and the
-/// cache-growth invariant (results survive a mid-recursion resize).
+/// leq/disjoint/agree predicates, simulation signatures against point
+/// evaluation, Manager::reset() reuse, and the cache-growth invariant
+/// (results survive a mid-recursion resize).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "analysis/audit.hpp"
@@ -24,6 +27,38 @@ namespace {
 /// through the kernels, so it is an independent reference.
 Edge ite_and(Manager& mgr, Edge f, Edge g) { return mgr.ite(f, g, kZero); }
 Edge ite_xor(Manager& mgr, Edge f, Edge g) { return mgr.ite(f, !g, g); }
+/// The product-building oracle for agree(f, g, c): (f XOR g)·c == 0.
+bool ite_agree(Manager& mgr, Edge f, Edge g, Edge c) {
+  return ite_and(mgr, ite_xor(mgr, f, g), c) == kZero;
+}
+
+/// Checks bit i of signature(f) against f evaluated at pattern i, where
+/// pattern i gives variable v bit i of signature(x_v).
+void expect_signature_is_point_evaluation(Manager& mgr, Edge f) {
+  std::vector<std::uint64_t> word(mgr.num_vars());
+  for (std::uint32_t v = 0; v < mgr.num_vars(); ++v) {
+    word[v] = mgr.signature(mgr.var_edge(v));
+  }
+  const std::uint64_t sig = mgr.signature(f);
+  EXPECT_EQ(mgr.signature(!f), ~sig);
+  std::vector<bool> assignment(mgr.num_vars());
+  for (unsigned i = 0; i < 64; ++i) {
+    for (std::uint32_t v = 0; v < mgr.num_vars(); ++v) {
+      assignment[v] = (word[v] >> i) & 1u;
+    }
+    ASSERT_EQ(eval(mgr, f, assignment), ((sig >> i) & 1u) != 0)
+        << "pattern " << i;
+  }
+}
+
+/// Node slots reachable from \p f.
+void collect_slots(const Manager& mgr, Edge f, std::vector<std::uint32_t>& out) {
+  if (Manager::is_const(f)) return;
+  if (std::find(out.begin(), out.end(), f.index()) != out.end()) return;
+  out.push_back(f.index());
+  collect_slots(mgr, mgr.hi_of(f), out);
+  collect_slots(mgr, mgr.lo_of(f), out);
+}
 
 /// Semantic 64-bit fingerprint of an n-variable function: FNV-1a over the
 /// value at every one of the 2^n assignments.  Unlike to_tt this is valid
@@ -73,6 +108,37 @@ TEST(Kernels, ExhaustiveThreeVariableLeqDisjointMatchOracle) {
   }
 }
 
+TEST(Kernels, ExhaustiveTwoVariableAgreeMatchesOracle) {
+  Manager mgr(2);
+  std::vector<Edge> fn(16);
+  for (unsigned tt = 0; tt < 16; ++tt) fn[tt] = from_tt(mgr, tt, 2);
+  for (unsigned a = 0; a < 16; ++a) {
+    for (unsigned b = 0; b < 16; ++b) {
+      for (unsigned c = 0; c < 16; ++c) {
+        ASSERT_EQ(mgr.agree(fn[a], fn[b], fn[c]),
+                  ite_agree(mgr, fn[a], fn[b], fn[c]))
+            << a << " ~ " << b << " on " << c;
+      }
+    }
+  }
+}
+
+TEST(Kernels, ExhaustiveThreeVariableAgreeMatchesOracle) {
+  Manager mgr(3);
+  std::vector<Edge> fn(256);
+  for (unsigned tt = 0; tt < 256; ++tt) fn[tt] = from_tt(mgr, tt, 3);
+  // Constants, a literal, a cube, a parity, majority, a random-looking set.
+  for (const unsigned care : {0x00u, 0xFFu, 0xAAu, 0x80u, 0x96u, 0xE8u, 0x5Bu}) {
+    for (unsigned a = 0; a < 256; ++a) {
+      for (unsigned b = 0; b < 256; ++b) {
+        ASSERT_EQ(mgr.agree(fn[a], fn[b], fn[care]),
+                  ite_agree(mgr, fn[a], fn[b], fn[care]))
+            << a << " ~ " << b << " on " << care;
+      }
+    }
+  }
+}
+
 TEST(Kernels, RandomDifferentialAgainstIteOracle) {
   Manager mgr(14);
   std::mt19937_64 rng(0xC0FFEEu);
@@ -94,6 +160,15 @@ TEST(Kernels, RandomDifferentialAgainstIteOracle) {
     EXPECT_TRUE(mgr.leq(mgr.and_(f.edge(), g.edge()), f.edge()));
     EXPECT_TRUE(mgr.leq(f.edge(), mgr.or_(f.edge(), g.edge())));
     EXPECT_TRUE(mgr.disjoint(mgr.diff(f.edge(), g.edge()), g.edge()));
+    // agree against its defining product, on a random care set and on one
+    // where the answer is known to be true.
+    const Bdd c(mgr, workload::random_function(mgr, 14, 0.2, rng));
+    EXPECT_EQ(mgr.agree(f.edge(), g.edge(), c.edge()),
+              ite_agree(mgr, f.edge(), g.edge(), c.edge()));
+    const Edge blend = mgr.ite(c.edge(), f.edge(), g.edge());
+    EXPECT_TRUE(mgr.agree(f.edge(), blend, c.edge()));
+    EXPECT_TRUE(mgr.agree(blend, g.edge(), !c.edge()));
+    EXPECT_EQ(mgr.agree(f.edge(), blend, kOne), blend == f.edge());
   }
 }
 
@@ -110,6 +185,93 @@ TEST(Kernels, CacheEntriesInteroperateBetweenAndAndDisjoint) {
   const telemetry::CounterSnapshot delta = mgr.telemetry() - before;
   EXPECT_EQ(delta.value(telemetry::Counter::kAndCacheHits), 1u);
   EXPECT_EQ(delta.value(telemetry::Counter::kAndCacheMisses), 0u);
+}
+
+TEST(Kernels, RepeatedAgreeQueryHitsItsCacheEntry) {
+  Manager mgr(10);
+  std::mt19937_64 rng(41);
+  const Bdd f(mgr, workload::random_function(mgr, 10, 0.4, rng));
+  const Bdd g(mgr, workload::random_function(mgr, 10, 0.4, rng));
+  const Bdd c(mgr, workload::random_function(mgr, 10, 0.3, rng));
+  const bool first = mgr.agree(f.edge(), g.edge(), c.edge());
+  // Every spelling of the query — swapped, or with both value functions
+  // complemented — is one kAgree entry, answered by a single "and"-class
+  // hit with no recursion.
+  for (const auto& [a, b] : {std::pair{f.edge(), g.edge()},
+                             std::pair{g.edge(), f.edge()},
+                             std::pair{!f.edge(), !g.edge()},
+                             std::pair{!g.edge(), !f.edge()}}) {
+    const telemetry::CounterSnapshot before = mgr.telemetry();
+    EXPECT_EQ(mgr.agree(a, b, c.edge()), first);
+    const telemetry::CounterSnapshot delta = mgr.telemetry() - before;
+    EXPECT_EQ(delta.value(telemetry::Counter::kAndCacheHits), 1u);
+    EXPECT_EQ(delta.value(telemetry::Counter::kAndCacheMisses), 0u);
+    EXPECT_EQ(delta.value(telemetry::Counter::kGovernorSteps), 0u);
+    EXPECT_EQ(delta.value(telemetry::Counter::kUniqueInserts), 0u);
+  }
+}
+
+TEST(Signature, EqualsPointEvaluationOnEveryPattern) {
+  Manager mgr(12);
+  EXPECT_EQ(mgr.signature(kOne), ~0ull);
+  EXPECT_EQ(mgr.signature(kZero), 0ull);
+  std::mt19937_64 rng(43);
+  for (int round = 0; round < 20; ++round) {
+    const Bdd f(mgr, workload::random_function(mgr, 12, 0.4, rng));
+    expect_signature_is_point_evaluation(mgr, f.edge());
+  }
+}
+
+TEST(Signature, StaysCorrectWhenGcRecyclesASlot) {
+  Manager mgr(8);
+  std::mt19937_64 rng(47);
+  const Edge f = workload::random_function(mgr, 8, 0.4, rng);
+  expect_signature_is_point_evaluation(mgr, f);  // memoizes f's slots
+  std::vector<std::uint32_t> f_slots;
+  collect_slots(mgr, f, f_slots);
+  mgr.garbage_collect();  // f was never referenced: every slot is freed
+  // Build different functions until one reuses a slot f's memo stamped.
+  bool recycled = false;
+  for (int round = 0; round < 10 && !recycled; ++round) {
+    const Edge g = workload::random_function(mgr, 8, 0.6, rng);
+    std::vector<std::uint32_t> g_slots;
+    collect_slots(mgr, g, g_slots);
+    for (const std::uint32_t slot : g_slots) {
+      recycled |= std::find(f_slots.begin(), f_slots.end(), slot) != f_slots.end();
+    }
+    expect_signature_is_point_evaluation(mgr, g);
+  }
+  EXPECT_TRUE(recycled) << "no slot of f was reused";
+}
+
+TEST(Signature, StaysCorrectAcrossSiftingAndReset) {
+  Manager mgr(10);
+  std::mt19937_64 rng(53);
+  std::vector<Bdd> roots;
+  std::vector<std::uint64_t> before;
+  for (int round = 0; round < 6; ++round) {
+    roots.emplace_back(mgr, workload::random_function(mgr, 10, 0.4, rng));
+    before.push_back(mgr.signature(roots.back().edge()));
+  }
+  // Reordering rewrites nodes in place but keeps every node's function,
+  // so signatures (functions of variable names, not levels) must not move.
+  const auto expect_unchanged = [&] {
+    for (std::size_t k = 0; k < roots.size(); ++k) {
+      EXPECT_EQ(mgr.signature(roots[k].edge()), before[k]);
+      expect_signature_is_point_evaluation(mgr, roots[k].edge());
+    }
+  };
+  const std::vector<std::uint32_t> reversed{9, 8, 7, 6, 5, 4, 3, 2, 1, 0};
+  mgr.set_order(reversed);
+  expect_unchanged();
+  mgr.reorder_sift();
+  expect_unchanged();
+  roots.clear();
+  mgr.reset(10);
+  for (int round = 0; round < 6; ++round) {
+    const Bdd f(mgr, workload::random_function(mgr, 10, 0.3, rng));
+    expect_signature_is_point_evaluation(mgr, f.edge());
+  }
 }
 
 TEST(Kernels, CountersClassifyKernelTraffic) {

@@ -7,6 +7,7 @@
 #include "bdd/ops.hpp"
 #include "bdd/truth_table.hpp"
 #include "minimize/sibling.hpp"
+#include "workload/instances.hpp"
 
 namespace bddmin::minimize {
 namespace {
@@ -163,6 +164,58 @@ TEST(FmmTsm, OrderingOptimizationsRescueTheBigClique) {
   }
   EXPECT_EQ(largest, 3u);
   EXPECT_EQ(good.cliques.size(), 2u);  // {B,C,D} and {A}
+}
+
+TEST(MatchGraph, SignatureFilterIsSoundAndChangesNoResult) {
+  // Filter-then-prove must be invisible: a pair the signatures rule out
+  // never matches, so the filtered graph, the osm sinks and the tsm
+  // cliques all equal those of a reference loop over unfiltered matches().
+  std::size_t ruled_out = 0;
+  std::size_t matched = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Manager mgr(8);
+    const IncSpec spec =
+        workload::random_instance(mgr, 8, 0.15 + 0.06 * seed, seed);
+    for (std::uint32_t level = 0; level + 1 < mgr.num_vars(); ++level) {
+      const CollectedLevel collected = collect_at_level(mgr, spec, level);
+      const std::vector<IncSpec>& specs = collected.specs;
+      const std::size_t r = specs.size();
+      for (const Criterion crit : {Criterion::kOsm, Criterion::kTsm}) {
+        MatchGraph reference{r, std::vector<std::uint8_t>(r * r, 0)};
+        for (std::size_t j = 0; j < r; ++j) {
+          for (std::size_t k = 0; k < r; ++k) {
+            if (j == k) continue;
+            const bool match = matches(mgr, crit, specs[j], specs[k]);
+            reference.adjacency[j * r + k] = match ? 1 : 0;
+            matched += match;
+            if (signatures_rule_out(crit, signature_of(mgr, specs[j]),
+                                    signature_of(mgr, specs[k]))) {
+              ++ruled_out;
+              EXPECT_FALSE(match) << to_string(crit) << " seed " << seed
+                                  << " level " << level << " pair " << j
+                                  << "," << k;
+            }
+          }
+        }
+        EXPECT_EQ(match_graph(mgr, crit, specs), reference)
+            << to_string(crit) << " seed " << seed << " level " << level;
+        if (crit == Criterion::kOsm) {
+          EXPECT_EQ(fmm_osm(mgr, specs), osm_sinks(reference));
+          continue;
+        }
+        LevelOptions naive;
+        naive.order_by_degree = false;
+        naive.weight_by_distance = false;
+        for (const LevelOptions& opts : {LevelOptions{}, naive}) {
+          EXPECT_EQ(fmm_tsm(mgr, specs, collected.paths, opts),
+                    clique_cover(reference, collected.paths, opts));
+        }
+      }
+    }
+  }
+  // The instances exercise both sides of the filter.
+  EXPECT_GT(ruled_out, 0u);
+  EXPECT_GT(matched, 0u);
 }
 
 TEST(Substitute, ReplacementRespectsICoverSemantics) {
