@@ -17,6 +17,7 @@
 #include "bdd/ops.hpp"
 #include "bdd/truth_table.hpp"
 #include "engine/queue.hpp"
+#include "engine/shard.hpp"
 #include "minimize/sibling.hpp"
 #include "telemetry/counters.hpp"
 #include "telemetry/histogram.hpp"
@@ -163,24 +164,34 @@ TEST(BatchEngine, PreCancelledBatchReportsEveryJobCancelled) {
 }
 
 TEST(BatchEngine, MidRunCancellationKeepsJobsAtomic) {
+  // Per-job scheduling, then shards of several jobs: a shard is not a
+  // cancellation unit, so a queued job in a half-drained shard still
+  // reports kCancelled and nothing is lost or run twice.
   const std::vector<Job> jobs = random_jobs(40, 8, 0.4, 7700);
-  EngineOptions opts;
-  opts.num_threads = 2;
-  opts.cancel = std::make_shared<std::atomic<bool>>(false);
-  std::thread trigger([cancel = opts.cancel] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    cancel->store(true);
-  });
-  const BatchReport report = run_batch(jobs, opts);
-  trigger.join();
-  ASSERT_EQ(report.outcomes.size(), jobs.size());
-  for (const JobOutcome& o : report.outcomes) {
-    // Jobs are atomic: fully processed or never started — no torn state.
-    if (o.status == JobStatus::kOk) {
-      EXPECT_GT(o.min_size, 0u) << o.name;
-    } else {
-      ASSERT_EQ(o.status, JobStatus::kCancelled) << o.name;
-      EXPECT_EQ(o.min_size, 0u) << o.name;
+  for (const std::uint64_t shard_cost : {std::uint64_t{0},
+                                         kDefaultShardCost}) {
+    EngineOptions opts;
+    opts.num_threads = 2;
+    opts.shard_cost = shard_cost;
+    opts.cancel = std::make_shared<std::atomic<bool>>(false);
+    std::thread trigger([cancel = opts.cancel] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      cancel->store(true);
+    });
+    const BatchReport report = run_batch(jobs, opts);
+    trigger.join();
+    ASSERT_EQ(report.outcomes.size(), jobs.size());
+    if (shard_cost > 0) {
+      EXPECT_LT(report.metrics.shards, jobs.size());
+    }
+    for (const JobOutcome& o : report.outcomes) {
+      // Jobs are atomic: fully processed or never started — no torn state.
+      if (o.status == JobStatus::kOk) {
+        EXPECT_GT(o.min_size, 0u) << o.name;
+      } else {
+        ASSERT_EQ(o.status, JobStatus::kCancelled) << o.name;
+        EXPECT_EQ(o.min_size, 0u) << o.name;
+      }
     }
   }
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 
@@ -231,6 +232,41 @@ TEST(GovernorEngine, AdversarialJobDegradesToResourceLimit) {
   }
 }
 
+TEST(GovernorEngine, AdversarialJobsUnderATinyDeadline) {
+  // A job deadline swept from 1 us to 10 ms: a job may finish, time out
+  // between heuristics, or degrade on the in-flight deadline — nothing
+  // else, and a degraded manager must still audit clean.  Which of the
+  // three happens is wall-clock dependent, so none of them is required.
+  std::vector<engine::Job> jobs;
+  for (unsigned half = 6; half <= 13; ++half) {
+    jobs.push_back(adversarial_job(half));
+  }
+  engine::EngineOptions opts;
+  opts.num_threads = 2;
+  opts.heuristic = "osm_td";
+  opts.audit_level = analysis::AuditLevel::kRefcount;
+  for (const double timeout : {1e-6, 1e-5, 1e-4, 1e-3, 1e-2}) {
+    opts.job_timeout_seconds = timeout;
+    const engine::BatchReport report = engine::run_batch(jobs, opts);
+    ASSERT_EQ(report.outcomes.size(), jobs.size());
+    const std::string csv = engine::report_csv(report);
+    // The header plus one row per job.
+    const auto rows = std::count(csv.begin(), csv.end(), '\n');
+    EXPECT_EQ(static_cast<std::size_t>(rows), jobs.size() + 1) << csv;
+    for (const engine::JobOutcome& o : report.outcomes) {
+      EXPECT_TRUE(o.status == engine::JobStatus::kOk ||
+                  o.status == engine::JobStatus::kTimeout ||
+                  o.status == engine::JobStatus::kResourceLimit)
+          << o.name << " at " << timeout << " s: "
+          << engine::job_status_name(o.status) << " " << o.error;
+      if (o.status == engine::JobStatus::kResourceLimit) {
+        EXPECT_NE(o.detail.find("deadline"), std::string::npos) << o.detail;
+      }
+      EXPECT_EQ(o.audit_findings, 0u) << o.name << " at " << timeout << " s";
+    }
+  }
+}
+
 TEST(GovernorEngine, BudgetExhaustionRetriesOnFallbackHeuristic) {
   Manager src(6, 12);
   const minimize::IncSpec spec = workload::random_instance(src, 6, 0.4, 99u);
@@ -273,8 +309,8 @@ TEST(GovernorEngine, TinyQuotaBatchNeverReportsErrors) {
 }
 
 TEST(Governor, ReorderUnderHardNodeQuotaKeepsTableConsistent) {
-  // Regression for the stress-harness find (workload "governor", seed 1,
-  // thread 0, step 4, state reorder-under-quota): NodeLimit used to fire
+  // Regression for the mid-swap tear, also pinned as a walk schedule by
+  // StressWalk.QuotaTearScheduleStaysClean: NodeLimit used to fire
   // from unique_insert inside swap_adjacent_levels *after* the order maps
   // had flipped, tearing the table ("hi child at or above parent level"
   // audit findings).  Quotas are now suspended for the duration of a swap

@@ -2,7 +2,8 @@
 /// \brief Write-ahead journal: codec round-trips, every recovery rule
 /// (truncated tail, flipped checksum, duplicate completion, version
 /// mismatch), in-process resume, and a real kill-and-resume through the
-/// CLI binary asserting byte-identical CSV at 1/2/8 threads.
+/// CLI binary asserting byte-identical CSV at 1/2/8 threads.  The same
+/// binary also checks that a malformed numeric flag is a usage error.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -417,6 +418,27 @@ TEST(JournalResume, GroupCommitKillAndResumeMatchesUninterruptedRun) {
     std::remove(out_csv.c_str());
     std::remove(wal.c_str());
   }
+}
+
+TEST(Cli, MalformedNumericFlagIsAUsageError) {
+  const std::string cli = BDDMIN_CLI_PATH;
+  const std::string csv = temp_path("malformed.csv");
+  const std::string err = temp_path("malformed.err");
+  const char* const cases[][2] = {
+      {"--jobs", "abc"}, {"--timeout-ms", "5x"}, {"--vars", "-3"}};
+  for (const auto& [flag, value] : cases) {
+    std::remove(csv.c_str());
+    EXPECT_EQ(run_cli(cli + " batch " + flag + " '" + value + "' --csv " +
+                      csv + " 2> " + err),
+              1)
+        << flag;
+    const std::string want = std::string("error: ") + flag +
+                             " expects a non-negative integer, got '" +
+                             value + "'";
+    EXPECT_NE(read_file(err).find(want), std::string::npos) << read_file(err);
+    EXPECT_FALSE(std::ifstream(csv).good()) << flag << " wrote a CSV";
+  }
+  std::remove(err.c_str());
 }
 
 #endif  // BDDMIN_CLI_PATH

@@ -58,6 +58,12 @@ TEST(Counters, RepeatedIteIsExactlyOneCacheHit) {
   EXPECT_EQ(delta.value(Counter::kIteCacheMisses), 0u);
   EXPECT_EQ(delta.value(Counter::kUniqueInserts), 0u);
   EXPECT_EQ(delta.value(Counter::kUniqueHits), 0u);
+
+  (void)mgr.and_(a, c);
+  const CounterSnapshot before_and = mgr.telemetry();
+  (void)mgr.and_(a, c);  // identical AND: served from the computed cache
+  const CounterSnapshot and_delta = mgr.telemetry() - before_and;
+  EXPECT_EQ(and_delta.value(Counter::kAndCacheMisses), 0u);
 }
 
 TEST(Counters, UniqueTableInsertThenHit) {

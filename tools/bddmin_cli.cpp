@@ -90,36 +90,22 @@
 ///     (job latency, governor steps, steal-search latency, queue depth,
 ///     jobs and cost per shard).
 ///
-/// bddmin_cli stress [--workload NAME] [--seed S] [--threads T]
-///                   [--steps K] [--wall-seconds W] [--audit-level L]
-///                   [--no-minimize] [--list] [--replay T:K]
-///                   [--expect-failure]
-///     FSM-driven concurrency stress harness (docs/STRESS.md): T threads
-///     walk the named workload graph (default `mixed`; `--list` shows
-///     all) for K seeded steps each, running invariant hooks between
-///     states.  The run is deterministic: the same --seed always yields
-///     the same final invariant digest (leave --wall-seconds unset when
-///     comparing digests).  Every failure prints a (seed, thread, step)
-///     triple plus a minimized single-threaded schedule; `--replay T:K`
-///     re-executes that thread's schedule on one thread and exits 0 iff
-///     the failure reproduces.  `--expect-failure` inverts the verdict
-///     for the `faults` workload: exit 0 iff an injected fault was caught
-///     AND its seed triple replayed single-threaded.
-///
-/// Exit codes: 0 every job ok; 3 at least one job errored (genuine bug;
-/// for `stress`: an invariant failed, or --replay/--expect-failure did
-/// not reproduce); 4 no errors but some jobs degraded (resource-limit,
-/// timeout or cancelled); 1 usage / I/O problems.
+/// Exit codes: 0 every job ok; 3 at least one job errored (genuine bug);
+/// 4 no errors but some jobs degraded (resource-limit, timeout or
+/// cancelled); 1 usage / I/O problems, including a numeric flag that is
+/// not a non-negative decimal integer.
 /// ```
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,8 +128,6 @@
 #include "harness/render.hpp"
 #include "minimize/registry.hpp"
 #include "pla/pla.hpp"
-#include "stress/runner.hpp"
-#include "stress/workloads.hpp"
 #include "telemetry/histogram.hpp"
 
 namespace {
@@ -172,9 +156,21 @@ const char* flag_value(int argc, char** argv, const char* flag) {
   return nullptr;
 }
 
-std::uint64_t size_flag(int argc, char** argv, const char* flag) {
+/// The value of numeric flag \p flag, or \p fallback when it is absent.
+/// Anything but a plain non-negative decimal that fits T is a usage error.
+template <typename T>
+T uint_flag(int argc, char** argv, const char* flag, T fallback) {
   const char* raw = flag_value(argc, argv, flag);
-  return raw ? std::strtoull(raw, nullptr, 10) : 0;
+  if (raw == nullptr) return fallback;
+  const char* end = raw + std::strlen(raw);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(raw, end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument(std::string(flag) +
+                                " expects a non-negative integer, got '" +
+                                raw + "'");
+  }
+  return value;
 }
 
 /// Run \p h under a hard node quota; a trip degrades to the trivial cover
@@ -212,7 +208,7 @@ int cmd_minimize(int argc, char** argv) {
   }
   ResourceLimits budget;
   budget.hard_node_limit =
-      static_cast<std::size_t>(size_flag(argc, argv, "--node-limit"));
+      uint_flag<std::size_t>(argc, argv, "--node-limit", 0);
   // Pin the specs: recovering from a quota trip garbage-collects, and the
   // f/c edges must survive it.
   std::vector<Bdd> spec_pins;
@@ -337,11 +333,8 @@ int cmd_audit(int argc, char** argv) {
   std::iota(vars.begin(), vars.end(), 0u);
   const auto specs = pla::output_functions(mgr, circuit, vars);
 
-  auto level = analysis::AuditLevel::kCover;
-  if (const char* raw = flag_value(argc, argv, "--level")) {
-    const int n = std::atoi(raw);
-    level = static_cast<analysis::AuditLevel>(std::clamp(n, 0, 4));
-  }
+  const auto level = static_cast<analysis::AuditLevel>(
+      std::min(uint_flag(argc, argv, "--level", 4u), 4u));
   std::printf("%s: %u inputs, %u outputs, audit level %d\n",
               circuit.name.c_str(), circuit.num_inputs, circuit.num_outputs,
               static_cast<int>(level));
@@ -353,7 +346,7 @@ int cmd_audit(int argc, char** argv) {
   const auto set = minimize::all_heuristics();
   ResourceLimits budget;
   budget.hard_node_limit =
-      static_cast<std::size_t>(size_flag(argc, argv, "--node-limit"));
+      uint_flag<std::size_t>(argc, argv, "--node-limit", 0);
   std::vector<Bdd> pinned;
   std::size_t trips = 0;
   for (const auto& spec : specs) {
@@ -403,21 +396,15 @@ int cmd_audit(int argc, char** argv) {
   return report.ok() ? 0 : 3;
 }
 
-long int_flag(int argc, char** argv, const char* flag, long fallback) {
-  const char* raw = flag_value(argc, argv, flag);
-  return raw ? std::atol(raw) : fallback;
-}
-
 /// The job set of `batch` / `stats`: PLA outputs or seeded random pairs.
 std::vector<engine::Job> batch_jobs(int argc, char** argv) {
   if (const char* path = flag_value(argc, argv, "--pla")) {
     return engine::pla_jobs(pla::parse_pla(slurp(path), path));
   }
-  const unsigned count =
-      static_cast<unsigned>(int_flag(argc, argv, "--jobs", 32));
-  const unsigned vars = static_cast<unsigned>(int_flag(argc, argv, "--vars", 8));
+  const unsigned count = uint_flag(argc, argv, "--jobs", 32u);
+  const unsigned vars = uint_flag(argc, argv, "--vars", 8u);
   const std::uint64_t seed =
-      static_cast<std::uint64_t>(int_flag(argc, argv, "--seed", 1));
+      uint_flag<std::uint64_t>(argc, argv, "--seed", 1);
   const char* draw = flag_value(argc, argv, "--density");
   const double density = draw ? std::atof(draw) : 0.3;
   return engine::random_jobs(count, vars, density, seed);
@@ -425,28 +412,25 @@ std::vector<engine::Job> batch_jobs(int argc, char** argv) {
 
 engine::EngineOptions batch_options(int argc, char** argv) {
   engine::EngineOptions opts;
-  opts.num_threads =
-      static_cast<unsigned>(int_flag(argc, argv, "--threads", 0));
+  opts.num_threads = uint_flag(argc, argv, "--threads", 0u);
   if (const char* name = flag_value(argc, argv, "--heuristic")) {
     opts.heuristic = name;
   }
   opts.audit_level = static_cast<analysis::AuditLevel>(
-      std::clamp<long>(int_flag(argc, argv, "--audit-level", 0), 0, 4));
-  opts.job_timeout_seconds = int_flag(argc, argv, "--timeout-ms", 0) / 1000.0;
+      std::min(uint_flag(argc, argv, "--audit-level", 0u), 4u));
+  opts.job_timeout_seconds =
+      static_cast<double>(uint_flag(argc, argv, "--timeout-ms", 0u)) / 1000.0;
   if (has_flag(argc, argv, "--lower-bound")) opts.lower_bound_cubes = 1000;
-  opts.node_limit =
-      static_cast<std::size_t>(size_flag(argc, argv, "--node-limit"));
-  opts.step_limit = size_flag(argc, argv, "--step-limit");
+  opts.node_limit = uint_flag<std::size_t>(argc, argv, "--node-limit", 0);
+  opts.step_limit = uint_flag<std::uint64_t>(argc, argv, "--step-limit", 0);
   if (const char* name = flag_value(argc, argv, "--fallback-heuristic")) {
     opts.fallback_heuristic = name;
   }
   // Sharding defaults ON at the CLI (the library default is off so
   // embedders opt in); precedence is flag > environment > default.
-  opts.shard_cost =
-      harness::env_u64("BDDMIN_SHARD_COST", engine::kDefaultShardCost);
-  if (const char* raw = flag_value(argc, argv, "--shard-cost")) {
-    opts.shard_cost = std::strtoull(raw, nullptr, 10);
-  }
+  opts.shard_cost = uint_flag<std::uint64_t>(
+      argc, argv, "--shard-cost",
+      harness::env_u64("BDDMIN_SHARD_COST", engine::kDefaultShardCost));
   if (has_flag(argc, argv, "--no-shard") ||
       harness::env_u64("BDDMIN_NO_SHARD", 0) != 0) {
     opts.shard_cost = 0;
@@ -641,72 +625,6 @@ int cmd_failpoints(int argc, char** argv) {
   return 0;
 }
 
-int cmd_stress(int argc, char** argv) {
-  if (has_flag(argc, argv, "--list")) {
-    for (const stress::StressFsm& fsm : stress::builtin_workloads()) {
-      std::printf("%-10s %s\n", fsm.name.c_str(), fsm.description.c_str());
-    }
-    return 0;
-  }
-  const char* wname = flag_value(argc, argv, "--workload");
-  const stress::StressFsm fsm =
-      stress::workload_by_name(wname != nullptr ? wname : "mixed");
-  stress::StressOptions opts;
-  opts.seed = static_cast<std::uint64_t>(int_flag(argc, argv, "--seed", 1));
-  opts.num_threads =
-      static_cast<unsigned>(int_flag(argc, argv, "--threads", 4));
-  opts.steps_per_thread =
-      static_cast<std::size_t>(int_flag(argc, argv, "--steps", 32));
-  if (const char* wall = flag_value(argc, argv, "--wall-seconds")) {
-    opts.wall_budget_seconds = std::strtod(wall, nullptr);
-  }
-  opts.invariant_audit = static_cast<analysis::AuditLevel>(
-      std::clamp<long>(int_flag(argc, argv, "--audit-level", 2), 0, 3));
-  if (has_flag(argc, argv, "--no-minimize")) opts.minimize_failures = false;
-
-  if (const char* raw = flag_value(argc, argv, "--replay")) {
-    unsigned thread = 0;
-    unsigned long long step = 0;
-    if (std::sscanf(raw, "%u:%llu", &thread, &step) != 2) {
-      std::fprintf(stderr, "error: --replay wants THREAD:STEP, got '%s'\n",
-                   raw);
-      return 1;
-    }
-    const std::optional<stress::StressFailure> failure = stress::replay(
-        fsm, opts, thread, static_cast<std::size_t>(step));
-    if (!failure.has_value()) {
-      std::printf("replay clean: (seed=%llu thread=%u step=%llu) on '%s' "
-                  "reproduced no failure\n",
-                  static_cast<unsigned long long>(opts.seed), thread, step,
-                  fsm.name.c_str());
-      return 3;
-    }
-    std::printf("%s\n", failure->summary().c_str());
-    return 0;
-  }
-
-  const stress::StressReport report = stress::run_stress(fsm, opts);
-  std::printf("%s\n", report.summary().c_str());
-  if (has_flag(argc, argv, "--expect-failure")) {
-    if (report.ok()) {
-      std::printf("expected a failure but the run came back clean\n");
-      return 3;
-    }
-    for (const stress::StressFailure& f : report.failures) {
-      if (!f.replayed) {
-        std::printf("failure at thread=%u step=%llu did not replay "
-                    "single-threaded\n",
-                    f.at.thread,
-                    static_cast<unsigned long long>(f.at.step));
-        return 3;
-      }
-    }
-    std::printf("expected failure caught and replayed single-threaded\n");
-    return 0;
-  }
-  return report.ok() ? 0 : 3;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -728,9 +646,6 @@ int main(int argc, char** argv) {
     }
     if (argc >= 2 && std::strcmp(argv[1], "stats") == 0) {
       return cmd_stats(argc - 2, argv + 2);
-    }
-    if (argc >= 2 && std::strcmp(argv[1], "stress") == 0) {
-      return cmd_stress(argc - 2, argv + 2);
     }
     if (argc >= 2 && std::strcmp(argv[1], "failpoints") == 0) {
       return cmd_failpoints(argc - 2, argv + 2);
@@ -762,12 +677,6 @@ int main(int argc, char** argv) {
                "  bddmin_cli stats [batch flags]  (prints the batch's"
                " counters + histograms as Prometheus text)\n"
                "  bddmin_cli failpoints [--describe]  (lists the registered"
-               " fault-injection points)\n"
-               "  bddmin_cli stress [--workload NAME] [--seed S]"
-               " [--threads T] [--steps K]\n"
-               "                    [--wall-seconds W] [--audit-level L]"
-               " [--no-minimize]\n"
-               "                    [--list] [--replay T:K]"
-               " [--expect-failure]\n");
+               " fault-injection points)\n");
   return 1;
 }

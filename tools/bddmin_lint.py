@@ -19,11 +19,7 @@ Rules (see docs/API.md for the full contract text):
       container) — unpinned edges may dangle across reclamation
   R5  `PhaseScope` must be bound to a named local; a discarded temporary
       destructs immediately and records nothing
-  R6  stress-harness code (src/stress/) must not hold a `PhaseScope` or
-      mutex lock across a cross-thread wait (`join()`, `wait()`,
-      `wait_for()`, `wait_until()`) — an invariant hook that blocks while
-      holding a scope or lock can deadlock the very schedule it is
-      auditing; release the scope/lock first
+  (R6 is retired; rule ids are never reused, since suppressions cite them)
   R7  failpoint hygiene: every `BDDMIN_FAILPOINT("name")` site must name
       an entry of the catalog in src/analysis/failpoint.cpp, each
       catalog name may have at most one site in the tree (a second site
@@ -51,7 +47,7 @@ import os
 import re
 import sys
 
-ALL_RULES = ("R1", "R2", "R3", "R4", "R5", "R6", "R7")
+ALL_RULES = ("R1", "R2", "R3", "R4", "R5", "R7")
 
 # Files whose *definitions* legitimately contain the patterns a rule hunts.
 RULE_EXEMPT_FILES = {
@@ -62,10 +58,6 @@ RULE_EXEMPT_FILES = {
 # R1 applies to the BDD core only: that is where memoized recursions live
 # and where an uncharged recursion silently escapes the step budget.
 R1_FILES = ("src/bdd/ops.cpp", "src/bdd/manager.cpp")
-
-# R6 applies to the stress harness only: invariant hooks and workload
-# states run on worker threads whose peers they may need to wait for.
-R6_PATH = "src/stress/"
 
 REGISTRY_RELPATH = "src/bdd/cache_tags.hpp"
 
@@ -439,66 +431,6 @@ def check_r5(relpath, clean, findings):
             "bind it to a named local"))
 
 
-R6_HOLD_DECL_RE = re.compile(
-    r"(?:^|[;{}()])\s*(?:const\s+)?(?:\w[\w:]*::)?"
-    r"(PhaseScope|lock_guard|unique_lock|scoped_lock|shared_lock)"
-    r"\s*(?:<[^;<>]*>)?\s+(\w+)\s*[({=]")
-R6_WAIT_RE = re.compile(r"[.\->]\s*(join|wait|wait_for|wait_until)\s*\(")
-
-
-def _depth_at(text, idx):
-    depth = 0
-    for ch in text[:idx]:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-    return depth
-
-
-def check_r6(relpath, body_line, body, findings):
-    """Scope/lock held across a cross-thread wait (stress harness only).
-
-    For each PhaseScope/lock declaration, scan forward to the
-    close of its enclosing brace block; a join()/wait*() inside that window
-    blocks while the scope or lock is still held.  An explicit `.unlock()`
-    on the lock before the wait releases it and is compliant.  Scope-based
-    analysis, so a lock taken inside a nested block that closes before the
-    wait never triggers.
-    """
-    if not R6_WAIT_RE.search(body):
-        return
-    line_of = _line_index(body)
-    for m in R6_HOLD_DECL_RE.finditer(body):
-        kind, name = m.group(1), m.group(2)
-        start = m.end()
-        base_depth = _depth_at(body, start)
-        end = len(body)
-        d = base_depth
-        for j in range(start, len(body)):
-            ch = body[j]
-            if ch == "{":
-                d += 1
-            elif ch == "}":
-                d -= 1
-                if d < base_depth:
-                    end = j
-                    break
-        window = body[start:end]
-        wait = R6_WAIT_RE.search(window)
-        if not wait:
-            continue
-        if re.search(r"\b%s\s*\.\s*unlock\s*\(" % re.escape(name),
-                     window[:wait.start()]):
-            continue
-        findings.append(Finding(
-            relpath, body_line + line_of(start + wait.start()) - 1, "R6",
-            f"{kind} {name!r} is still held across the cross-thread "
-            f"{wait.group(1)}() — release the scope/lock (or .unlock()) "
-            "before waiting; a blocked invariant hook holding a scope "
-            "or a lock can deadlock the schedule under audit"))
-
-
 FAILPOINT_SITE_RE = re.compile(r"\bBDDMIN_FAILPOINT\s*\(\s*\"(\w+)\"\s*\)")
 FAILPOINT_ENTRY_RE = re.compile(r"^\s*\{\s*\"(\w+)\"", re.MULTILINE)
 EMPTY_EXHAUSTED_CATCH_RE = re.compile(
@@ -745,11 +677,7 @@ def main():
             check_r2(rel, clean, registry, findings)
         if "R3" in rules and not exempt(rel, "R3"):
             check_r3(rel, clean, findings)
-        want_r4 = "R4" in rules and not exempt(rel, "R4") and \
-            rel.endswith(".cpp")
-        want_r6 = "R6" in rules and not exempt(rel, "R6") and \
-            R6_PATH in rel.replace(os.sep, "/")
-        if want_r4 or want_r6:
+        if "R4" in rules and not exempt(rel, "R4") and rel.endswith(".cpp"):
             bodies = None
             if cindex is not None:
                 try:
@@ -760,10 +688,7 @@ def main():
                 bodies = list(function_bodies(clean))
             for body_line, body in bodies:
                 body_clean = body if cindex is None else scan_source(body)[0]
-                if want_r4:
-                    check_r4(rel, body_line, body_clean, findings)
-                if want_r6:
-                    check_r6(rel, body_line, body_clean, findings)
+                check_r4(rel, body_line, body_clean, findings)
         if "R5" in rules and not exempt(rel, "R5"):
             check_r5(rel, clean, findings)
         if "R7" in rules and not exempt(rel, "R7"):
