@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <unordered_map>
 
 #include "bdd/manager.hpp"
 
@@ -18,6 +20,14 @@ struct IncSpec {
 
   friend constexpr bool operator==(IncSpec, IncSpec) noexcept = default;
 };
+
+/// Key of an (f, c) edge pair in the per-call memos of the traversals.
+[[nodiscard]] constexpr std::uint64_t pair_key(Edge f, Edge c) noexcept {
+  return (std::uint64_t{f.bits} << 32) | c.bits;
+}
+
+/// (f, c) pair -> the [f', c'] a traversal built for it.
+using PairMemo = std::unordered_map<std::uint64_t, IncSpec>;
 
 /// Definition 2: g is a cover of [f,c] iff f·c <= g <= f + c̄, equivalently
 /// (g XOR f)·c == 0.

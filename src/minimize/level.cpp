@@ -10,10 +10,6 @@
 namespace bddmin::minimize {
 namespace {
 
-constexpr std::uint64_t pair_key(Edge f, Edge c) noexcept {
-  return (std::uint64_t{f.bits} << 32) | c.bits;
-}
-
 struct Collector {
   Manager& mgr;
   std::uint32_t level;
@@ -211,14 +207,16 @@ namespace {
 struct Substituter {
   Manager& mgr;
   std::uint32_t level;
-  const std::unordered_map<std::uint64_t, IncSpec>& replacement;
-  std::unordered_map<std::uint64_t, IncSpec> memo;
+  const CollectedLevel& collected;
+  std::span<const IncSpec> replacement;
+  PairMemo memo;
 
   IncSpec rebuild(Edge f, Edge c) {
     const std::uint64_t key = pair_key(f, c);
     if (mgr.level_of(f) > level && mgr.level_of(c) > level) {
-      const auto it = replacement.find(key);
-      return it != replacement.end() ? it->second : IncSpec{f, c};
+      const auto it = collected.pair_to_vertex.find(key);
+      return it != collected.pair_to_vertex.end() ? replacement[it->second]
+                                                  : IncSpec{f, c};
     }
     if (const auto it = memo.find(key); it != memo.end()) return it->second;
     mgr.governor().charge_step();
@@ -235,11 +233,12 @@ struct Substituter {
 
 }  // namespace
 
-IncSpec substitute_at_level(
-    Manager& mgr, IncSpec spec, std::uint32_t level,
-    const std::unordered_map<std::uint64_t, IncSpec>& replacement) {
+IncSpec substitute_at_level(Manager& mgr, IncSpec spec, std::uint32_t level,
+                            const CollectedLevel& collected,
+                            std::span<const IncSpec> replacement) {
+  BDDMIN_CHECK(replacement.size() == collected.specs.size());
   const telemetry::PhaseScope phase(telemetry::Phase::kCoverBuild);
-  Substituter sub{mgr, level, replacement, {}};
+  Substituter sub{mgr, level, collected, replacement, {}};
   return sub.rebuild(spec.f, spec.c);
 }
 
@@ -281,12 +280,7 @@ IncSpec minimize_at_level_once(Manager& mgr, Criterion crit,
     stats->groups = groups;
     stats->matched = r - groups;
   }
-  std::unordered_map<std::uint64_t, IncSpec> replacement;
-  replacement.reserve(collected.pair_to_vertex.size());
-  for (const auto& [key, vertex] : collected.pair_to_vertex) {
-    replacement.emplace(key, vertex_replacement[vertex]);
-  }
-  return substitute_at_level(mgr, spec, level, replacement);
+  return substitute_at_level(mgr, spec, level, collected, vertex_replacement);
 }
 
 }  // namespace

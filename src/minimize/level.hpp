@@ -120,11 +120,15 @@ struct CliqueCover {
 [[nodiscard]] IncSpec merge_clique(Manager& mgr, std::span<const IncSpec> specs,
                                    std::span<const std::size_t> members);
 
-/// Rebuild [f, c] with each boundary pair replaced per \p replacement
-/// (pairs without an entry are kept).  The result is an i-cover of spec.
-[[nodiscard]] IncSpec substitute_at_level(
-    Manager& mgr, IncSpec spec, std::uint32_t level,
-    const std::unordered_map<std::uint64_t, IncSpec>& replacement);
+/// Rebuild [f, c] with each boundary pair that \p collected maps to vertex
+/// j replaced by replacement[j] (one entry per collected vertex; pairs
+/// left out of the collection, e.g. beyond a set cap, are kept).  The
+/// result is an i-cover of spec when every replacement[j] i-covers
+/// collected.specs[j].
+[[nodiscard]] IncSpec substitute_at_level(Manager& mgr, IncSpec spec,
+                                          std::uint32_t level,
+                                          const CollectedLevel& collected,
+                                          std::span<const IncSpec> replacement);
 
 struct LevelStats {
   std::size_t vertices = 0;  ///< functions collected

@@ -1,82 +1,86 @@
 #include "minimize/sibling.hpp"
 
-#include <unordered_map>
-
-#include "analysis/check.hpp"
 #include "telemetry/profile.hpp"
 
 namespace bddmin::minimize {
 namespace {
 
-/// Memo key for a (f, c) pair within one heuristic invocation.  Per-call
-/// maps mirror the paper's methodology of flushing caches between
-/// heuristics so measurements stay independent.
-using PairMemo = std::unordered_map<std::uint64_t, Edge>;
-
-constexpr std::uint64_t pair_key(Edge f, Edge c) noexcept {
-  return (std::uint64_t{f.bits} << 32) | c.bits;
-}
-
-struct TopDown {
+/// The one memoized sibling traversal.  A per-call memo mirrors the
+/// paper's methodology of flushing caches between heuristics so
+/// measurements stay independent.
+struct Traversal {
   Manager& mgr;
-  const SiblingOptions& opts;
+  const MixedOptions& opts;  ///< criterion per level, complement, no-new-vars
+  std::uint32_t lo_level;    ///< matching window [lo_level, hi_level]
+  std::uint32_t hi_level;
+  bool cover;  ///< leaves spend their don't cares: [f, c] becomes [f, 1]
   PairMemo memo;
 
-  Edge run(Edge f, Edge c) {
-    BDDMIN_DCHECK(c != kZero);
-    if (c == kOne || Manager::is_const(f)) return f;
-    if (const auto it = memo.find(pair_key(f, c)); it != memo.end()) {
-      return it->second;
-    }
-    mgr.governor().charge_step();
-    const std::uint32_t top = mgr.top_var(f, c);
-    const auto [f_t, f_e] = mgr.branches(f, top);
-    const auto [c_t, c_e] = mgr.branches(c, top);
+  IncSpec leaf(IncSpec spec) const {
+    return cover ? IncSpec{spec.f, kOne} : spec;
+  }
 
-    Edge ret;
-    if (opts.no_new_vars && mgr.level_of(f) > mgr.level_of(c)) {
+  /// Figure 2's is_match, attempted only at levels inside the window.
+  std::optional<IncSpec> match(std::uint32_t level, bool complement_else,
+                               IncSpec t, IncSpec e) {
+    if (level < lo_level || (complement_else && !opts.match_complement)) {
+      return std::nullopt;
+    }
+    const Criterion crit = level < opts.switch_level ? opts.upper : opts.lower;
+    return sibling_match(mgr, crit, complement_else, t, e);
+  }
+
+  IncSpec run(IncSpec spec) {
+    if (spec.c == kZero || spec.c == kOne || Manager::is_const(spec.f)) {
+      return leaf(spec);
+    }
+    const std::uint32_t top = mgr.top_var(spec.f, spec.c);
+    const std::uint32_t level = mgr.level_of_var(top);
+    if (level > hi_level) return leaf(spec);  // entirely below the window
+    const std::uint64_t key = pair_key(spec.f, spec.c);
+    if (const auto it = memo.find(key); it != memo.end()) return it->second;
+    mgr.governor().charge_step();
+    const auto [f_t, f_e] = mgr.branches(spec.f, top);
+    const auto [c_t, c_e] = mgr.branches(spec.c, top);
+    IncSpec ret;
+    if (opts.no_new_vars && mgr.level_of(spec.f) > mgr.level_of(spec.c)) {
       // f is independent of c's top variable (all of f's support lies
       // below it): existentially drop that variable from the care set
       // rather than letting a match introduce it into the result.
-      ret = run(f, mgr.or_(c_t, c_e));
-    } else if (const auto m = sibling_match(mgr, opts.criterion, false,
-                                            {f_t, c_t}, {f_e, c_e})) {
+      ret = run({spec.f, mgr.or_(c_t, c_e)});
+    } else if (const auto m = match(level, false, {f_t, c_t}, {f_e, c_e})) {
       // Both siblings replaced by their common i-cover: parent deleted.
-      ret = run(m->f, m->c);
-    } else if (opts.match_complement) {
-      if (const auto mc = sibling_match(mgr, opts.criterion, true, {f_t, c_t},
-                                        {f_e, c_e})) {
-        // then = g, else = !g for a single recursion g.
-        const Edge temp = run(mc->f, mc->c);
-        ret = mgr.make_node(top, temp, !temp);
-      } else {
-        ret = split(top, f_t, c_t, f_e, c_e);
-      }
+      ret = run(*m);
+    } else if (const auto mc = match(level, true, {f_t, c_t}, {f_e, c_e})) {
+      // then = g, else = !g for a single recursion g.
+      const IncSpec g = run(*mc);
+      ret = IncSpec{mgr.make_node(top, g.f, !g.f), g.c};
     } else {
-      ret = split(top, f_t, c_t, f_e, c_e);
+      const IncSpec t = run({f_t, c_t});
+      const IncSpec e = run({f_e, c_e});
+      ret = IncSpec{mgr.make_node(top, t.f, e.f), mgr.make_node(top, t.c, e.c)};
     }
-    memo.emplace(pair_key(f, c), ret);
+    memo.emplace(key, ret);
     return ret;
   }
-
-  Edge split(std::uint32_t top, Edge f_t, Edge c_t, Edge f_e, Edge c_e) {
-    // No match possible, so neither child's care set is 0 (a 0 care set
-    // matches under every criterion).
-    const Edge t = run(f_t, c_t);
-    const Edge e = run(f_e, c_e);
-    return mgr.make_node(top, t, e);
-  }
 };
+
+IncSpec traverse(Manager& mgr, const MixedOptions& opts, std::uint32_t lo_level,
+                 std::uint32_t hi_level, bool cover, IncSpec spec) {
+  // The traversal itself is result construction; the matching criteria it
+  // calls re-scope themselves to kMatching.
+  const telemetry::PhaseScope phase(telemetry::Phase::kCoverBuild);
+  Traversal ctx{mgr, opts, lo_level, hi_level, cover, {}};
+  return ctx.run(spec);
+}
 
 }  // namespace
 
 Edge generic_td(Manager& mgr, const SiblingOptions& opts, Edge f, Edge c) {
-  if (c == kZero) return f;  // no care points: any function covers; keep f
-  // The traversal itself is result construction; the matching criteria it
-  // calls re-scope themselves to kMatching.
-  const telemetry::PhaseScope phase(telemetry::Phase::kCoverBuild);
-  TopDown ctx{mgr, opts, {}};
-  return ctx.run(f, c);
+  const MixedOptions mixed{.upper = opts.criterion, .lower = opts.criterion,
+                           .match_complement = opts.match_complement,
+                           .no_new_vars = opts.no_new_vars};
+  return mixed_td(mgr, mixed, f, c);
 }
 
 Edge constrain(Manager& mgr, Edge f, Edge c) {
@@ -104,109 +108,16 @@ Edge tsm_cp(Manager& mgr, Edge f, Edge c) {
   return generic_td(mgr, {Criterion::kTsm, true, false}, f, c);
 }
 
-namespace {
-
-/// Like TopDown, but the matching criterion is a function of the level.
-struct MixedTopDown {
-  Manager& mgr;
-  const MixedOptions& opts;
-  PairMemo memo;
-
-  Criterion criterion_at(std::uint32_t level) const {
-    return level < opts.switch_level ? opts.upper : opts.lower;
-  }
-
-  Edge run(Edge f, Edge c) {
-    BDDMIN_DCHECK(c != kZero);
-    if (c == kOne || Manager::is_const(f)) return f;
-    if (const auto it = memo.find(pair_key(f, c)); it != memo.end()) {
-      return it->second;
-    }
-    mgr.governor().charge_step();
-    const std::uint32_t top = mgr.top_var(f, c);
-    const Criterion crit = criterion_at(mgr.level_of_var(top));
-    const auto [f_t, f_e] = mgr.branches(f, top);
-    const auto [c_t, c_e] = mgr.branches(c, top);
-    Edge ret;
-    if (opts.no_new_vars && mgr.level_of(f) > mgr.level_of(c)) {
-      ret = run(f, mgr.or_(c_t, c_e));
-    } else if (const auto m =
-                   sibling_match(mgr, crit, false, {f_t, c_t}, {f_e, c_e})) {
-      ret = run(m->f, m->c);
-    } else {
-      std::optional<IncSpec> mc;
-      if (opts.match_complement) {
-        mc = sibling_match(mgr, crit, true, {f_t, c_t}, {f_e, c_e});
-      }
-      if (mc) {
-        const Edge temp = run(mc->f, mc->c);
-        ret = mgr.make_node(top, temp, !temp);
-      } else {
-        const Edge t = run(f_t, c_t);
-        const Edge e = run(f_e, c_e);
-        ret = mgr.make_node(top, t, e);
-      }
-    }
-    memo.emplace(pair_key(f, c), ret);
-    return ret;
-  }
-};
-
-}  // namespace
-
 Edge mixed_td(Manager& mgr, const MixedOptions& opts, Edge f, Edge c) {
   if (c == kZero || c == kOne) return f;
-  const telemetry::PhaseScope phase(telemetry::Phase::kCoverBuild);
-  MixedTopDown ctx{mgr, opts, {}};
-  return ctx.run(f, c);
+  return traverse(mgr, opts, 0, kConstVar, /*cover=*/true, {f, c}).f;
 }
-
-namespace {
-
-struct WindowPass {
-  Manager& mgr;
-  Criterion crit;
-  std::uint32_t lo_level;
-  std::uint32_t hi_level;
-  std::unordered_map<std::uint64_t, IncSpec> memo;
-
-  IncSpec run(IncSpec spec) {
-    if (spec.c == kZero || spec.c == kOne || Manager::is_const(spec.f)) {
-      return spec;
-    }
-    const std::uint32_t top = mgr.top_var(spec.f, spec.c);
-    const std::uint32_t top_level = mgr.level_of_var(top);
-    if (top_level > hi_level) return spec;  // entirely below the window
-    if (const auto it = memo.find(pair_key(spec.f, spec.c)); it != memo.end()) {
-      return it->second;
-    }
-    mgr.governor().charge_step();
-    const auto [f_t, f_e] = mgr.branches(spec.f, top);
-    const auto [c_t, c_e] = mgr.branches(spec.c, top);
-    IncSpec ret;
-    std::optional<IncSpec> m;
-    if (top_level >= lo_level) {
-      m = sibling_match(mgr, crit, false, {f_t, c_t}, {f_e, c_e});
-    }
-    if (m) {
-      ret = run(*m);  // parent deleted; keep matching inside the window
-    } else {
-      const IncSpec t = run({f_t, c_t});
-      const IncSpec e = run({f_e, c_e});
-      ret = IncSpec{mgr.make_node(top, t.f, e.f), mgr.make_node(top, t.c, e.c)};
-    }
-    memo.emplace(pair_key(spec.f, spec.c), ret);
-    return ret;
-  }
-};
-
-}  // namespace
 
 IncSpec sibling_window_pass(Manager& mgr, Criterion crit, std::uint32_t lo_level,
                             std::uint32_t hi_level, IncSpec spec) {
-  const telemetry::PhaseScope phase(telemetry::Phase::kCoverBuild);
-  WindowPass ctx{mgr, crit, lo_level, hi_level, {}};
-  return ctx.run(spec);
+  const MixedOptions opts{.upper = crit, .lower = crit,
+                          .match_complement = false, .no_new_vars = false};
+  return traverse(mgr, opts, lo_level, hi_level, /*cover=*/false, spec);
 }
 
 }  // namespace bddmin::minimize

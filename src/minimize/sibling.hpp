@@ -1,14 +1,23 @@
 /// \file sibling.hpp
 /// \brief Sibling-matching heuristics: the generic top-down algorithm of
-/// Figure 2 and its eight distinct instantiations (Table 2).
+/// Figure 2, its eight distinct instantiations (Table 2), the Section 3.2
+/// mixed criterion and the scheduler's windowed pass (Section 3.4).
 ///
-/// The traversal walks f and c in lock step.  At each node it may:
+/// All of them are one memoized traversal that walks f and c in lock
+/// step.  At each node, whose level decides the criterion (`upper` above
+/// `switch_level`, `lower` from it on), it may:
 ///  1. keep f independent of a variable c introduces (no-new-vars rule,
 ///     the restrict idea),
 ///  2. match the two sibling subfunctions, deleting the parent node,
 ///  3. match one sibling against the other's complement (the parent node
 ///     survives but only one recursion is needed), or
 ///  4. recurse on both siblings.
+/// Matches (2, 3) are tried only at levels inside a window [lo, hi]; the
+/// cover heuristics use every level.  The one difference between a cover
+/// and a window pass is the leaf rule: a cover spends the don't cares and
+/// returns [f, 1], so the rebuilt care set collapses to 1 by the deletion
+/// rule; a window pass keeps c and returns an i-cover.  Hence
+/// sibling_window_pass(crit, 0, n-1, spec).f == osm_td / tsm_td (crit).
 ///
 /// | # | criterion | match-compl | no-new-vars | name       |
 /// |---|-----------|-------------|-------------|------------|
@@ -73,9 +82,8 @@ struct MixedOptions {
 /// Windowed *partial* sibling pass used by the scheduler (Section 3.4):
 /// matching is only attempted at levels in [lo_level, hi_level]; instead
 /// of assigning the remaining DCs it returns the i-cover [f', c'] (care
-/// set grows monotonically).  complement matches are not attempted — a
-/// fixed then/else complement linkage cannot be expressed as an IncSpec
-/// without losing freedom.
+/// set grows monotonically).  No-new-vars and complement matches are not
+/// attempted.  For c == 0 or c == 1 the input spec is returned unchanged.
 [[nodiscard]] IncSpec sibling_window_pass(Manager& mgr, Criterion crit,
                                           std::uint32_t lo_level,
                                           std::uint32_t hi_level, IncSpec spec);

@@ -424,17 +424,22 @@ TEST(Cli, MalformedNumericFlagIsAUsageError) {
   const std::string cli = BDDMIN_CLI_PATH;
   const std::string csv = temp_path("malformed.csv");
   const std::string err = temp_path("malformed.err");
-  const char* const cases[][2] = {
-      {"--jobs", "abc"}, {"--timeout-ms", "5x"}, {"--vars", "-3"}};
-  for (const auto& [flag, value] : cases) {
+  const char* const integer = "a non-negative integer";
+  const char* const fraction = "a number in [0, 1]";
+  const char* const cases[][3] = {
+      {"--jobs", "abc", integer},    {"--timeout-ms", "5x", integer},
+      {"--vars", "-3", integer},     {"--vars", "0", "a positive integer"},
+      {"--density", "abc", fraction}, {"--density", "nan", fraction},
+      {"--density", "0.3x", fraction}, {"--density", "-1", fraction},
+      {"--density", "2", fraction},  {"--density", "1e400", fraction}};
+  for (const auto& [flag, value, expects] : cases) {
     std::remove(csv.c_str());
     EXPECT_EQ(run_cli(cli + " batch " + flag + " '" + value + "' --csv " +
                       csv + " 2> " + err),
               1)
-        << flag;
-    const std::string want = std::string("error: ") + flag +
-                             " expects a non-negative integer, got '" +
-                             value + "'";
+        << flag << ' ' << value;
+    const std::string want = std::string("error: ") + flag + " expects " +
+                             expects + ", got '" + value + "'";
     EXPECT_NE(read_file(err).find(want), std::string::npos) << read_file(err);
     EXPECT_FALSE(std::ifstream(csv).good()) << flag << " wrote a CSV";
   }

@@ -105,6 +105,14 @@ TEST(Sibling, TrivialCareSetsReturnFUnchanged) {
     EXPECT_EQ(h.fn(mgr, f, kOne), f) << h.name;
     EXPECT_EQ(h.fn(mgr, f, kZero), f) << h.name;
   }
+  for (const Edge c : {kOne, kZero}) {
+    EXPECT_EQ(mixed_td(mgr, {}, f, c), f);
+    for (const Criterion crit : {Criterion::kOsm, Criterion::kTsm}) {
+      const IncSpec spec{f, c};
+      EXPECT_EQ(sibling_window_pass(mgr, crit, 0, 3, spec), spec)
+          << to_string(crit);
+    }
+  }
 }
 
 TEST(Sibling, Table2DuplicatePairsCoincide) {
@@ -279,8 +287,9 @@ TEST(Sibling, WindowPassBelowWindowIsIdentity) {
 }
 
 TEST(Sibling, FullWindowEqualsUnscheduledMatching) {
-  // A window spanning every level with osm performs the same matches as
-  // osm_td would, so constraining the result afterwards can't be larger.
+  // A window spanning every level performs exactly the matches of the
+  // unscheduled heuristic: only the leaves differ (the pass keeps their
+  // care sets), so its value function is osm_td's / tsm_td's cover.
   Manager mgr(5);
   std::mt19937_64 rng(66);
   for (int round = 0; round < 30; ++round) {
@@ -288,8 +297,12 @@ TEST(Sibling, FullWindowEqualsUnscheduledMatching) {
     std::uint64_t c_tt = rng() & tt_mask(5);
     if (c_tt == 0) c_tt = 1;
     const Edge c = from_tt(mgr, c_tt, 5);
-    const IncSpec out = sibling_window_pass(mgr, Criterion::kOsm, 0, 4, {f, c});
-    EXPECT_TRUE(is_cover(mgr, constrain(mgr, out.f, out.c), {f, c}));
+    const IncSpec osm = sibling_window_pass(mgr, Criterion::kOsm, 0, 4, {f, c});
+    const IncSpec tsm = sibling_window_pass(mgr, Criterion::kTsm, 0, 4, {f, c});
+    EXPECT_EQ(osm.f, osm_td(mgr, f, c));
+    EXPECT_EQ(tsm.f, tsm_td(mgr, f, c));
+    EXPECT_TRUE(is_icover(mgr, osm, {f, c}));
+    EXPECT_TRUE(is_icover(mgr, tsm, {f, c}));
   }
 }
 

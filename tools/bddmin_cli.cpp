@@ -100,7 +100,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <numeric>
@@ -169,6 +168,22 @@ T uint_flag(int argc, char** argv, const char* flag, T fallback) {
     throw std::invalid_argument(std::string(flag) +
                                 " expects a non-negative integer, got '" +
                                 raw + "'");
+  }
+  return value;
+}
+
+/// The value of fraction flag \p flag, or \p fallback when it is absent.
+/// Anything but a fully consumed, finite decimal in [0, 1] is a usage error.
+double fraction_flag(int argc, char** argv, const char* flag, double fallback) {
+  const char* raw = flag_value(argc, argv, flag);
+  if (raw == nullptr) return fallback;
+  const char* end = raw + std::strlen(raw);
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(raw, end, value);
+  if (ec != std::errc() || ptr != end || !(value >= 0.0 && value <= 1.0)) {
+    throw std::invalid_argument(std::string(flag) +
+                                " expects a number in [0, 1], got '" + raw +
+                                "'");
   }
   return value;
 }
@@ -403,10 +418,14 @@ std::vector<engine::Job> batch_jobs(int argc, char** argv) {
   }
   const unsigned count = uint_flag(argc, argv, "--jobs", 32u);
   const unsigned vars = uint_flag(argc, argv, "--vars", 8u);
+  if (vars == 0) {
+    throw std::invalid_argument(
+        std::string("--vars expects a positive integer, got '") +
+        flag_value(argc, argv, "--vars") + "'");
+  }
   const std::uint64_t seed =
       uint_flag<std::uint64_t>(argc, argv, "--seed", 1);
-  const char* draw = flag_value(argc, argv, "--density");
-  const double density = draw ? std::atof(draw) : 0.3;
+  const double density = fraction_flag(argc, argv, "--density", 0.3);
   return engine::random_jobs(count, vars, density, seed);
 }
 
