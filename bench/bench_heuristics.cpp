@@ -12,6 +12,7 @@
 #include "minimize/lower_bound.hpp"
 #include "minimize/schedule.hpp"
 #include "minimize/sibling.hpp"
+#include "telemetry/profile.hpp"
 #include "workload/instances.hpp"
 
 namespace {
@@ -46,6 +47,27 @@ BENCHMARK_TEMPLATE(BM_Sibling, minimize::osm_td)->Arg(0)->Arg(1);
 BENCHMARK_TEMPLATE(BM_Sibling, minimize::osm_bt)->Arg(0)->Arg(1);
 BENCHMARK_TEMPLATE(BM_Sibling, minimize::tsm_td)->Arg(0)->Arg(1);
 BENCHMARK_TEMPLATE(BM_Sibling, minimize::tsm_cp)->Arg(0)->Arg(1);
+
+/// BM_Sibling with a ProfileCollector installed around each call, as the
+/// batch engine runs every heuristic: the gap to the plain twin is the
+/// cost of phase attribution.
+template <Edge (*Fn)(Manager&, Edge, Edge)>
+void BM_SiblingProfiled(benchmark::State& state) {
+  Instance inst(state.range(0) == 0 ? 0.03 : 0.97);
+  telemetry::PhaseProfile profile;
+  for (auto _ : state) {
+    {
+      const telemetry::ProfileCollector collect(inst.mgr, &profile);
+      benchmark::DoNotOptimize(Fn(inst.mgr, inst.f.edge(), inst.c.edge()));
+    }
+    state.PauseTiming();
+    inst.mgr.garbage_collect();
+    state.ResumeTiming();
+  }
+  benchmark::DoNotOptimize(profile.total_steps());
+}
+BENCHMARK_TEMPLATE(BM_SiblingProfiled, minimize::osm_td)->Arg(0)->Arg(1);
+BENCHMARK_TEMPLATE(BM_SiblingProfiled, minimize::tsm_td)->Arg(0)->Arg(1);
 
 void BM_OptLv(benchmark::State& state) {
   Instance inst(state.range(0) == 0 ? 0.03 : 0.97);

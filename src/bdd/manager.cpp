@@ -157,6 +157,7 @@ void Manager::reset(unsigned num_vars) {
   cache_inserts_since_resize_ = 0;
   cache_inserts_since_check_ = 0;
   counters_.reset();
+  governor_.attach_step_counter(counters_.step_slot());
   gc_runs_ = 0;
   governor_.reset_job();  // drops limits and the steps/peak-live telemetry
   Node terminal;

@@ -127,8 +127,9 @@ class BDDMIN_CAPABILITY("Manager") Manager {
   /// invalidated in O(1) by an epoch bump and, if adaptive growth had
   /// enlarged it, trimmed back to its construction-time size so behaviour
   /// after reset() is bit-for-bit that of a fresh manager (the batch
-  /// engine's determinism contract relies on this).  Telemetry counters,
-  /// the governor's step/peak-live trackers and gc_runs() restart at zero.
+  /// engine's determinism contract relies on this).  Telemetry counters
+  /// (every phase row), the governor's step/peak-live trackers and
+  /// gc_runs() restart at zero, and the phase returns to kCoverBuild.
   /// All previously issued Edges are invalidated.
   void reset(unsigned num_vars);
 
@@ -290,6 +291,24 @@ class BDDMIN_CAPABILITY("Manager") Manager {
   /// telemetry/counters.hpp.
   [[nodiscard]] telemetry::CounterSnapshot telemetry() const noexcept {
     return counters_.snapshot();
+  }
+  /// The events attributed to phase \p p; the three rows sum to
+  /// telemetry().
+  [[nodiscard]] telemetry::CounterSnapshot telemetry(
+      telemetry::Phase p) const noexcept {
+    return counters_.snapshot(p);
+  }
+  /// The phase later events are attributed to (telemetry::PhaseScope
+  /// switches it; reset() returns it to kCoverBuild).
+  [[nodiscard]] telemetry::Phase phase() const noexcept {
+    return counters_.phase();
+  }
+  /// Attribute later events, governor steps included, to \p p; returns
+  /// the previous phase.
+  telemetry::Phase set_phase(telemetry::Phase p) noexcept {
+    const telemetry::Phase prev = counters_.set_phase(p);
+    governor_.attach_step_counter(counters_.step_slot());
+    return prev;
   }
 
   // ---- Computed cache (shared with client algorithms) ------------------

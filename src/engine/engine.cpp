@@ -251,10 +251,10 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
     telemetry::PhaseProfile profile;
     auto stop = start;
     {
-      // Collector scope: everything from here through validation is
-      // attributed to a phase (default cover-build; matching and
-      // validation sections switch explicitly).  The `break`s below exit
-      // through this block, flushing the tail into `profile`.
+      // Collector scope: the manager's per-phase work from here through
+      // validation goes into `profile` (cover-build by default; matching
+      // and validation scopes switch the phase).  The `break`s below exit
+      // through this block, so a failed run is recorded too.
       const telemetry::ProfileCollector collect(mgr, &profile);
       try {
         g = run_budgeted(mgr, heuristics[h], heuristic_budget(opts, job_start),
@@ -289,7 +289,7 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
       stop = Clock::now();
       covers.emplace_back(mgr, g);
       {
-        const telemetry::PhaseScope vphase(telemetry::Phase::kValidation);
+        const telemetry::PhaseScope vphase(mgr, telemetry::Phase::kValidation);
         if (opts.audit_level >= analysis::AuditLevel::kCover) {
           analysis::AuditReport cover_report;
           analysis::audit_cover(mgr, spec.f, spec.c, g, heuristics[h].name,

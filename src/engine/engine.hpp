@@ -185,9 +185,9 @@ struct EngineOptions {
 struct HeuristicResult {
   std::size_t size = 0;   ///< cover node count incl. terminal (0 = not run)
   double seconds = 0.0;   ///< wall time; non-deterministic
-  /// Per-phase time and counter deltas (matching / cover-build /
-  /// validation).  The step and counter splits are deterministic — each
-  /// job runs in a fresh manager — the seconds are not.
+  /// Per-phase counter deltas (matching / cover-build / validation) of
+  /// the run and its validation.  Deterministic: each job runs in a fresh
+  /// manager.
   telemetry::PhaseProfile phases;
 };
 

@@ -12,7 +12,7 @@
 namespace bddmin::engine {
 namespace {
 
-constexpr const char kHeader[] = "BDDMIN-JOURNAL v2";
+constexpr const char kHeader[] = "BDDMIN-JOURNAL v3";
 
 // ---- Field escaping ----------------------------------------------------
 // One record = one line.  Fields are comma-joined; any byte that could
@@ -205,7 +205,6 @@ std::string encode_outcome_record(const JobOutcome& outcome) {
     put_u64(out, r.size);
     put_double(out, r.seconds);
     for (const telemetry::PhaseData& p : r.phases.phases) {
-      put_double(out, p.seconds);
       put_u64(out, p.steps);
       put_u64(out, p.cache_hits);
       put_u64(out, p.cache_misses);
@@ -253,7 +252,6 @@ JobOutcome decode_outcome_record(const std::string& payload) {
     r.size = cur.next_u64();
     r.seconds = cur.next_double();
     for (telemetry::PhaseData& p : r.phases.phases) {
-      p.seconds = cur.next_double();
       p.steps = cur.next_u64();
       p.cache_hits = cur.next_u64();
       p.cache_misses = cur.next_u64();

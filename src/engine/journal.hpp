@@ -4,7 +4,7 @@
 ///
 /// Format (text, line-oriented, append-only):
 ///
-///     BDDMIN-JOURNAL v2
+///     BDDMIN-JOURNAL v3
 ///     J <index> <crc32-hex> <escaped job payload>
 ///     C <index> <crc32-hex> <escaped outcome payload>
 ///
@@ -33,7 +33,8 @@
 /// Recovery (`read_journal`) is deliberately forgiving about the tail
 /// and strict about the head:
 ///  * unknown/garbled header → JournalError (a wrong-version file should
-///    not be silently half-replayed);
+///    not be silently half-replayed: v2 completion records still carried
+///    per-phase seconds);
 ///  * CRC mismatch or malformed record → the record is quarantined (a
 ///    warning; the job simply re-runs);
 ///  * truncated final line (the kill -9 signature) → ignored;

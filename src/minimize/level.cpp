@@ -123,7 +123,7 @@ std::vector<std::size_t> osm_sinks(const MatchGraph& dmg) {
 }
 
 std::vector<std::size_t> fmm_osm(Manager& mgr, std::span<const IncSpec> specs) {
-  const telemetry::PhaseScope phase(telemetry::Phase::kMatching);
+  const telemetry::PhaseScope phase(mgr, telemetry::Phase::kMatching);
   return osm_sinks(match_graph(mgr, Criterion::kOsm, specs));
 }
 
@@ -186,13 +186,13 @@ CliqueCover clique_cover(const MatchGraph& umg, std::span<const CubeVec> paths,
 
 CliqueCover fmm_tsm(Manager& mgr, std::span<const IncSpec> specs,
                     std::span<const CubeVec> paths, const LevelOptions& opts) {
-  const telemetry::PhaseScope phase(telemetry::Phase::kMatching);
+  const telemetry::PhaseScope phase(mgr, telemetry::Phase::kMatching);
   return clique_cover(match_graph(mgr, Criterion::kTsm, specs), paths, opts);
 }
 
 IncSpec merge_clique(Manager& mgr, std::span<const IncSpec> specs,
                      std::span<const std::size_t> members) {
-  const telemetry::PhaseScope phase(telemetry::Phase::kCoverBuild);
+  const telemetry::PhaseScope phase(mgr, telemetry::Phase::kCoverBuild);
   Edge f = kZero;
   Edge c = kZero;
   for (const std::size_t j : members) {
@@ -237,7 +237,7 @@ IncSpec substitute_at_level(Manager& mgr, IncSpec spec, std::uint32_t level,
                             const CollectedLevel& collected,
                             std::span<const IncSpec> replacement) {
   BDDMIN_CHECK(replacement.size() == collected.specs.size());
-  const telemetry::PhaseScope phase(telemetry::Phase::kCoverBuild);
+  const telemetry::PhaseScope phase(mgr, telemetry::Phase::kCoverBuild);
   Substituter sub{mgr, level, collected, replacement, {}};
   return sub.rebuild(spec.f, spec.c);
 }

@@ -15,7 +15,7 @@ std::string_view to_string(Criterion crit) noexcept {
 }
 
 bool matches(Manager& mgr, Criterion crit, IncSpec a, IncSpec b) {
-  const telemetry::PhaseScope phase(telemetry::Phase::kMatching);
+  const telemetry::PhaseScope phase(mgr, telemetry::Phase::kMatching);
   switch (crit) {
     case Criterion::kOsdm:
       return a.c == kZero;
@@ -33,7 +33,7 @@ bool matches(Manager& mgr, Criterion crit, IncSpec a, IncSpec b) {
 
 IncSpec match_result(Manager& mgr, Criterion crit, IncSpec a, IncSpec b) {
   BDDMIN_DCHECK(matches(mgr, crit, a, b));
-  const telemetry::PhaseScope phase(telemetry::Phase::kMatching);
+  const telemetry::PhaseScope phase(mgr, telemetry::Phase::kMatching);
   switch (crit) {
     case Criterion::kOsdm:
     case Criterion::kOsm:

@@ -73,16 +73,6 @@ Heuristic with_budget(Heuristic inner, ResourceLimits limits) {
   return wrapped;
 }
 
-Heuristic with_profile(Heuristic inner, telemetry::PhaseProfile* out) {
-  Heuristic wrapped;
-  wrapped.name = inner.name;
-  wrapped.run = [inner = std::move(inner), out](Manager& m, Edge f, Edge c) {
-    const telemetry::ProfileCollector collect(m, out);
-    return inner.run(m, f, c);
-  };
-  return wrapped;
-}
-
 const Heuristic& heuristic_by_name(const std::vector<Heuristic>& set,
                                    const std::string& name) {
   for (const Heuristic& h : set) {

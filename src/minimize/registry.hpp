@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "minimize/schedule.hpp"
-#include "telemetry/profile.hpp"
 
 namespace bddmin::minimize {
 
@@ -52,13 +51,6 @@ struct Heuristic {
 /// the saved deadline's clock, so treat nested deadlines as per-stage
 /// budgets rather than absolute points in time.
 [[nodiscard]] Heuristic with_budget(Heuristic inner, ResourceLimits limits);
-
-/// Install a telemetry::ProfileCollector around \p inner: each call
-/// accrues its per-phase time and counter deltas into \p out (which must
-/// outlive the returned heuristic).  Calls accumulate — reset *out to
-/// profile runs separately.
-[[nodiscard]] Heuristic with_profile(Heuristic inner,
-                                     telemetry::PhaseProfile* out);
 
 /// Look a heuristic up by name in \p set; throws std::out_of_range.
 [[nodiscard]] const Heuristic& heuristic_by_name(

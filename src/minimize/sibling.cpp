@@ -69,7 +69,7 @@ IncSpec traverse(Manager& mgr, const MixedOptions& opts, std::uint32_t lo_level,
                  std::uint32_t hi_level, bool cover, IncSpec spec) {
   // The traversal itself is result construction; the matching criteria it
   // calls re-scope themselves to kMatching.
-  const telemetry::PhaseScope phase(telemetry::Phase::kCoverBuild);
+  const telemetry::PhaseScope phase(mgr, telemetry::Phase::kCoverBuild);
   Traversal ctx{mgr, opts, lo_level, hi_level, cover, {}};
   return ctx.run(spec);
 }

@@ -33,6 +33,15 @@ const char* counter_name(Counter c) noexcept {
   return "?";
 }
 
+const char* phase_name(Phase p) noexcept {
+  switch (p) {
+    case Phase::kMatching: return "matching";
+    case Phase::kCoverBuild: return "cover_build";
+    case Phase::kValidation: return "validation";
+  }
+  return "?";
+}
+
 std::string prometheus_text(const CounterSnapshot& s) {
   std::ostringstream os;
   const auto plain = [&](Counter c, const char* name, const char* help) {

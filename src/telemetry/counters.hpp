@@ -9,6 +9,10 @@
 ///    supports delta arithmetic, so callers measure "what did this
 ///    operation cost" as `after - before`.  Snapshots are deterministic:
 ///    they count structural events (inserts, memo misses), never time.
+///  * The bank keeps one row per minimizer Phase and writes through a
+///    pointer to the current row, so switching the phase work is
+///    attributed to is a pointer store (telemetry/profile.hpp).  Totals
+///    sum the rows.
 ///  * There is no process-wide aggregate: the batch engine records each
 ///    job's delta in its JobOutcome and sums them per batch
 ///    (engine::BatchMetrics::counters).
@@ -119,8 +123,19 @@ struct CounterSnapshot {
   [[nodiscard]] bool operator==(const CounterSnapshot&) const noexcept = default;
 };
 
-/// Per-Manager counter bank.  Plain uint64 — the owning Manager is
-/// single-threaded, so a bump is one increment, no synchronization.
+/// The minimizer phases a manager's work is attributed to: the matching
+/// criteria, result construction (the default) and the engine's cover
+/// checks.
+enum class Phase : unsigned { kMatching = 0, kCoverBuild = 1, kValidation = 2 };
+inline constexpr std::size_t kNumPhases = 3;
+
+/// Stable short name ("matching", "cover_build", "validation").
+[[nodiscard]] const char* phase_name(Phase p) noexcept;
+
+/// Per-Manager counter bank: one row per Phase, and a pointer to the row
+/// of the current phase that every bump writes through.  Plain uint64 —
+/// the owning Manager is single-threaded, so a bump is one increment, no
+/// synchronization.
 ///
 /// alignas(64): each batch-engine worker owns one pooled Manager and bumps
 /// its bank on every hot-path event.  Managers for neighbouring workers can
@@ -128,27 +143,51 @@ struct CounterSnapshot {
 /// never false-share a line through their banks.
 class alignas(64) CounterBank {
  public:
-  void bump(Counter c) noexcept { ++values_[static_cast<std::size_t>(c)]; }
+  CounterBank() noexcept = default;
+  // row_ points into rows_: a copy would write into the original.
+  CounterBank(const CounterBank&) = delete;
+  CounterBank& operator=(const CounterBank&) = delete;
+
+  void bump(Counter c) noexcept {
+    ++row_->values[static_cast<std::size_t>(c)];
+  }
   void add(Counter c, std::uint64_t n) noexcept {
-    values_[static_cast<std::size_t>(c)] += n;
+    row_->values[static_cast<std::size_t>(c)] += n;
   }
-  void reset() noexcept { values_ = {}; }
-  [[nodiscard]] std::uint64_t value(Counter c) const noexcept {
-    return values_[static_cast<std::size_t>(c)];
+  /// Zero every row and return to Phase::kCoverBuild.
+  void reset() noexcept {
+    rows_ = {};
+    (void)set_phase(Phase::kCoverBuild);
   }
+  [[nodiscard]] Phase phase() const noexcept {
+    return static_cast<Phase>(row_ - rows_.data());
+  }
+  /// Attribute later events to \p p; returns the previous phase.
+  Phase set_phase(Phase p) noexcept {
+    const Phase prev = phase();
+    row_ = &rows_[static_cast<std::size_t>(p)];
+    return prev;
+  }
+  /// The rows summed: every event, whatever its phase.
   [[nodiscard]] CounterSnapshot snapshot() const noexcept {
     CounterSnapshot s;
-    s.values = values_;
+    for (const CounterSnapshot& row : rows_) s += row;
     return s;
   }
-  /// Direct slot for Counter::kGovernorSteps so the governor can charge
-  /// steps without depending on this header's enum.
+  /// The events attributed to phase \p p.
+  [[nodiscard]] const CounterSnapshot& snapshot(Phase p) const noexcept {
+    return rows_[static_cast<std::size_t>(p)];
+  }
+  /// Counter::kGovernorSteps in the current row, so the governor can
+  /// charge steps without depending on this header's enum.  Moves with
+  /// set_phase(): re-attach after each switch.
   [[nodiscard]] std::uint64_t* step_slot() noexcept {
-    return &values_[static_cast<std::size_t>(Counter::kGovernorSteps)];
+    return &row_->values[static_cast<std::size_t>(Counter::kGovernorSteps)];
   }
 
  private:
-  std::array<std::uint64_t, kNumCounters> values_{};
+  std::array<CounterSnapshot, kNumPhases> rows_{};
+  CounterSnapshot* row_ = &rows_[static_cast<std::size_t>(Phase::kCoverBuild)];
 };
 
 /// Prometheus text exposition of a snapshot: one `bddmin_*_total` family

@@ -1,53 +1,25 @@
 #include "telemetry/profile.hpp"
 
 namespace bddmin::telemetry {
-namespace {
-
-thread_local ProfileCollector* g_current = nullptr;
-
-}  // namespace
-
-const char* phase_name(Phase p) noexcept {
-  switch (p) {
-    case Phase::kMatching: return "matching";
-    case Phase::kCoverBuild: return "cover_build";
-    case Phase::kValidation: return "validation";
-  }
-  return "?";
-}
-
-ProfileCollector* ProfileCollector::current() noexcept { return g_current; }
 
 ProfileCollector::ProfileCollector(const Manager& mgr,
                                    PhaseProfile* out) noexcept
-    : mgr_(mgr),
-      out_(out),
-      outer_(g_current),
-      last_counters_(mgr.telemetry()),
-      last_time_(std::chrono::steady_clock::now()) {
-  g_current = this;
+    : mgr_(mgr), out_(out) {
+  for (std::size_t i = 0; i < kNumPhases; ++i) {
+    start_[i] = mgr.telemetry(static_cast<Phase>(i));
+  }
 }
 
 ProfileCollector::~ProfileCollector() {
-  (void)switch_phase(phase_);  // flush the tail into the current phase
-  g_current = outer_;
-}
-
-Phase ProfileCollector::switch_phase(Phase next) noexcept {
-  const auto now = std::chrono::steady_clock::now();
-  const CounterSnapshot counters = mgr_.telemetry();
-  const CounterSnapshot delta = counters - last_counters_;
-  PhaseData& d = (*out_)[phase_];
-  d.seconds += std::chrono::duration<double>(now - last_time_).count();
-  d.steps += delta.value(Counter::kGovernorSteps);
-  d.cache_hits += delta.total_cache_hits();
-  d.cache_misses += delta.total_cache_misses();
-  d.unique_inserts += delta.value(Counter::kUniqueInserts);
-  last_counters_ = counters;
-  last_time_ = now;
-  const Phase prev = phase_;
-  phase_ = next;
-  return prev;
+  for (std::size_t i = 0; i < kNumPhases; ++i) {
+    const CounterSnapshot delta =
+        mgr_.telemetry(static_cast<Phase>(i)) - start_[i];
+    PhaseData& d = out_->phases[i];
+    d.steps += delta.value(Counter::kGovernorSteps);
+    d.cache_hits += delta.total_cache_hits();
+    d.cache_misses += delta.total_cache_misses();
+    d.unique_inserts += delta.value(Counter::kUniqueInserts);
+  }
 }
 
 }  // namespace bddmin::telemetry

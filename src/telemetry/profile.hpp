@@ -1,31 +1,33 @@
 /// \file profile.hpp
-/// \brief Per-phase profiles: attribute a manager's counter deltas (and
-/// wall time) to the minimizer phases matching / cover-build / validation.
+/// \brief Per-phase profiles: split a manager's counter deltas across the
+/// minimizer phases matching / cover-build / validation.
 ///
-/// A ProfileCollector is installed around one heuristic run (the engine
-/// does this per job slot; `minimize::with_profile` wraps any registry
-/// heuristic the same way).  While installed, PhaseScope RAII markers
-/// inside the minimizers switch the phase work is attributed to: the
-/// matching criteria (minimize/matching.cpp, the fmm_* passes of
-/// level.cpp) report kMatching, result construction defaults to
-/// kCoverBuild, and the engine wraps its cover checks in kValidation.
+/// The phase lives in the manager's counter bank (telemetry/counters.hpp):
+/// one counter row per phase and a pointer to the current row.  PhaseScope
+/// RAII markers inside the minimizers switch it: the matching criteria
+/// (minimize/matching.cpp, the fmm_* passes of level.cpp) report
+/// kMatching, result construction is the default kCoverBuild, and the
+/// engine wraps its cover checks in kValidation.  A ProfileCollector
+/// reads the rows when it is built and when it is destroyed, and adds the
+/// difference to a PhaseProfile; the engine installs one per heuristic
+/// run.
 ///
-/// Attribution is exclusive (self) time: entering a nested phase stops
-/// the clock of the outer one.  The counter parts of a PhaseData are
-/// deterministic — they count memoization misses and inserts, which
-/// depend only on the operation sequence — while `seconds` is wall time
-/// and explicitly not.
+/// Attribution is exclusive: entering a nested phase stops the outer
+/// one's row until the scope closes.  A profile is a split of work, not
+/// of time — it counts memoization misses, cache traffic and inserts,
+/// which depend only on the operation sequence, so it is exact and
+/// deterministic.  Wall time is measured per heuristic run
+/// (engine::HeuristicResult::seconds), never per phase.
 ///
-/// Cost: when no collector is installed a PhaseScope is one thread-local
-/// load and a branch.  When installed, a phase switch snapshots the
-/// manager's counter bank (a few cache lines) and reads the steady
-/// clock; the instrumented sites are per-node-visit at their finest, and
-/// each visit already performs several ITE calls, so the overhead stays
-/// in the noise (see docs/API.md "Telemetry" for measured numbers).
+/// Cost: a PhaseScope stores the row pointer and the governor's step
+/// slot on entry and again on exit, with or without a collector.  It
+/// reads no clock and copies no counters, which matters because every
+/// sibling match opens a matching scope: a clock read per switch costs a
+/// large share of the heuristic time on batches of small jobs
+/// (docs/API.md, "Overhead").
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 
 #include "bdd/manager.hpp"
@@ -33,28 +35,12 @@
 
 namespace bddmin::telemetry {
 
-enum class Phase : unsigned { kMatching = 0, kCoverBuild = 1, kValidation = 2 };
-inline constexpr std::size_t kNumPhases = 3;
-
-/// Stable short name ("matching", "cover_build", "validation").
-[[nodiscard]] const char* phase_name(Phase p) noexcept;
-
 /// Work attributed to one phase.
 struct PhaseData {
-  double seconds = 0.0;              ///< wall time; non-deterministic
   std::uint64_t steps = 0;           ///< governor steps (memo misses)
   std::uint64_t cache_hits = 0;      ///< computed-cache hits, all op classes
   std::uint64_t cache_misses = 0;
   std::uint64_t unique_inserts = 0;  ///< new nodes built
-
-  PhaseData& operator+=(const PhaseData& o) noexcept {
-    seconds += o.seconds;
-    steps += o.steps;
-    cache_hits += o.cache_hits;
-    cache_misses += o.cache_misses;
-    unique_inserts += o.unique_inserts;
-    return *this;
-  }
 };
 
 struct PhaseProfile {
@@ -71,16 +57,11 @@ struct PhaseProfile {
     for (const PhaseData& d : phases) total += d.steps;
     return total;
   }
-  PhaseProfile& operator+=(const PhaseProfile& o) noexcept {
-    for (std::size_t i = 0; i < kNumPhases; ++i) phases[i] += o.phases[i];
-    return *this;
-  }
 };
 
-/// Installed on the current thread for the duration of one heuristic run
-/// (plus its validation); accumulates into \p out.  Collectors nest: the
-/// inner one shadows the outer until it is destroyed.  All ops must go
-/// through the \p mgr passed here — other managers' work is not seen.
+/// Adds the per-phase deltas of \p mgr's counters over its lifetime to
+/// \p out, so collections accumulate.  Only \p mgr's work is seen; every
+/// collector alive on a manager sees all of its deltas.
 class ProfileCollector {
  public:
   ProfileCollector(const Manager& mgr, PhaseProfile* out) noexcept;
@@ -88,47 +69,30 @@ class ProfileCollector {
   ProfileCollector(const ProfileCollector&) = delete;
   ProfileCollector& operator=(const ProfileCollector&) = delete;
 
-  /// The collector installed on this thread, or nullptr.
-  [[nodiscard]] static ProfileCollector* current() noexcept;
-
  private:
-  friend class PhaseScope;
-  /// Credit work since the last switch to the current phase, then make
-  /// \p next current.  Returns the previous phase.
-  Phase switch_phase(Phase next) noexcept;
-
   const Manager& mgr_;
   PhaseProfile* out_;
-  ProfileCollector* outer_;
-  Phase phase_ = Phase::kCoverBuild;
-  CounterSnapshot last_counters_;
-  std::chrono::steady_clock::time_point last_time_;
+  std::array<CounterSnapshot, kNumPhases> start_;
 };
 
-/// RAII phase marker.  No-op when no collector is installed or the
-/// collector is already in \p p (nested same-phase scopes are free).
+/// RAII phase marker: attributes \p mgr's work to \p p until destroyed,
+/// then restores the previous phase — also when an exception unwinds
+/// through it.
 ///
 /// Must be bound to a named local: a discarded temporary switches the
 /// phase and switches straight back, attributing nothing — lint rule R5
 /// (tools/bddmin_lint.py) rejects that form.
 class PhaseScope {
  public:
-  explicit PhaseScope(Phase p) noexcept {
-    ProfileCollector* c = ProfileCollector::current();
-    if (c != nullptr && c->phase_ != p) {
-      c_ = c;
-      prev_ = c->switch_phase(p);
-    }
-  }
-  ~PhaseScope() {
-    if (c_ != nullptr) (void)c_->switch_phase(prev_);
-  }
+  PhaseScope(Manager& mgr, Phase p) noexcept
+      : mgr_(mgr), prev_(mgr.set_phase(p)) {}
+  ~PhaseScope() { (void)mgr_.set_phase(prev_); }
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
 
  private:
-  ProfileCollector* c_ = nullptr;
-  Phase prev_ = Phase::kCoverBuild;
+  Manager& mgr_;
+  Phase prev_;
 };
 
 }  // namespace bddmin::telemetry

@@ -37,12 +37,12 @@ void pinned_edge(Mgr& mgr) {
   use(f);
 }
 
-void discarded_scopes() {
+void discarded_scopes(Mgr& mgr) {
   // VIOLATION R5 (line 42): temporary destructs before the next statement.
-  telemetry::PhaseScope(telemetry::Phase::kMatching);
+  telemetry::PhaseScope(mgr, telemetry::Phase::kMatching);
   // VIOLATION R5 (line 44): same mistake without the namespace.
-  PhaseScope(telemetry::Phase::kValidation);
-  const telemetry::PhaseScope named(telemetry::Phase::kMatching);  // compliant
+  PhaseScope(mgr, telemetry::Phase::kValidation);
+  const telemetry::PhaseScope named(mgr, telemetry::Phase::kMatching);  // ok
   (void)named;
 }
 

@@ -161,23 +161,188 @@ TEST(Profile, CollectorSplitsStepsAcrossPhases) {
   EXPECT_EQ(profile[Phase::kValidation].steps, 0u);
 }
 
-TEST(Profile, WithProfileWrapperAccumulates) {
+TEST(Profile, CollectionsAccumulate) {
   Manager mgr(8);
   std::mt19937_64 rng(11);
   const minimize::IncSpec spec = workload::random_instance(mgr, 8, 0.4, rng);
   const Bdd f_pin(mgr, spec.f);
   const Bdd c_pin(mgr, spec.c);
   PhaseProfile profile;
-  const minimize::Heuristic h = minimize::with_profile(
-      {"osm_td",
-       [](Manager& m, Edge f, Edge c) { return minimize::osm_td(m, f, c); }},
-      &profile);
-  (void)h.run(mgr, spec.f, spec.c);
-  const std::uint64_t first = profile.total_steps();
-  EXPECT_GT(first, 0u);
+  {
+    const ProfileCollector collect(mgr, &profile);
+    (void)minimize::osm_td(mgr, spec.f, spec.c);
+  }
+  const PhaseProfile first = profile;
+  EXPECT_GT(first.total_steps(), 0u);
   mgr.garbage_collect();  // flush caches so the rerun repeats the work
-  (void)h.run(mgr, spec.f, spec.c);
-  EXPECT_GT(profile.total_steps(), first);  // calls accumulate
+  PhaseProfile second;
+  {
+    // Collectors on one manager overlap freely: each sees every delta.
+    const ProfileCollector collect(mgr, &profile);
+    const ProfileCollector alone(mgr, &second);
+    (void)minimize::osm_td(mgr, spec.f, spec.c);
+  }
+  EXPECT_GT(second.total_steps(), 0u);
+  for (std::size_t i = 0; i < kNumPhases; ++i) {
+    const Phase p = static_cast<Phase>(i);
+    EXPECT_EQ(profile[p].steps, first[p].steps + second[p].steps);
+    EXPECT_EQ(profile[p].cache_hits, first[p].cache_hits + second[p].cache_hits);
+    EXPECT_EQ(profile[p].cache_misses,
+              first[p].cache_misses + second[p].cache_misses);
+    EXPECT_EQ(profile[p].unique_inserts,
+              first[p].unique_inserts + second[p].unique_inserts);
+  }
+}
+
+/// Per-phase governor steps of \p mgr.
+std::array<std::uint64_t, kNumPhases> phase_steps(const Manager& mgr) {
+  std::array<std::uint64_t, kNumPhases> steps{};
+  for (std::size_t i = 0; i < kNumPhases; ++i) {
+    steps[i] = mgr.telemetry(static_cast<Phase>(i))
+                   .value(Counter::kGovernorSteps);
+  }
+  return steps;
+}
+
+TEST(Profile, StepLimitTripInsideMatchingLeavesCoverBuild) {
+  const minimize::Heuristic osm{
+      "osm_td",
+      [](Manager& m, Edge f, Edge c) { return minimize::osm_td(m, f, c); }};
+  // Step limit L trips on the (L+1)-th step; against limit L-1 (same
+  // operation sequence, one step shorter) the extra step shows which
+  // phase's row the tripping step landed in.
+  std::array<std::uint64_t, kNumPhases> prev{};
+  bool tripped_in_matching = false;
+  for (std::uint64_t limit = 1; limit <= 4000 && !tripped_in_matching;
+       ++limit) {
+    Manager mgr(8);
+    std::mt19937_64 rng(7);
+    const minimize::IncSpec spec = workload::random_instance(mgr, 8, 0.4, rng);
+    const auto base = phase_steps(mgr);
+    ResourceLimits limits;
+    limits.step_limit = limit;
+    const minimize::Heuristic budgeted = minimize::with_budget(osm, limits);
+    ASSERT_THROW((void)budgeted.run(mgr, spec.f, spec.c), ResourceExhausted)
+        << "limit " << limit;
+    EXPECT_EQ(mgr.phase(), Phase::kCoverBuild) << "limit " << limit;
+    auto steps = phase_steps(mgr);
+    for (std::size_t i = 0; i < kNumPhases; ++i) steps[i] -= base[i];
+    const std::size_t matching = static_cast<std::size_t>(Phase::kMatching);
+    tripped_in_matching = limit > 1 && steps[matching] > prev[matching];
+    prev = steps;
+    if (!tripped_in_matching) continue;
+    // The unwound scopes restored the default phase: fresh work lands in
+    // the cover-build row and nowhere else.
+    const auto before = phase_steps(mgr);
+    (void)mgr.and_(mgr.xor_(mgr.var_edge(0), mgr.var_edge(5)),
+                   mgr.xor_(mgr.var_edge(3), mgr.var_edge(7)));
+    const auto after = phase_steps(mgr);
+    const std::size_t build = static_cast<std::size_t>(Phase::kCoverBuild);
+    EXPECT_GT(after[build], before[build]);
+    for (std::size_t i = 0; i < kNumPhases; ++i) {
+      if (i != build) {
+        EXPECT_EQ(after[i], before[i]) << i;
+      }
+    }
+  }
+  EXPECT_TRUE(tripped_in_matching);
+}
+
+TEST(Profile, ResetZeroesEveryRow) {
+  Manager mgr(6);
+  std::mt19937_64 rng(3);
+  const minimize::IncSpec spec = workload::random_instance(mgr, 6, 0.4, rng);
+  (void)minimize::tsm_td(mgr, spec.f, spec.c);
+  {
+    const PhaseScope validation(mgr, Phase::kValidation);
+    (void)mgr.xor_(mgr.var_edge(2), mgr.var_edge(4));
+  }
+  for (std::size_t i = 0; i < kNumPhases; ++i) {
+    EXPECT_NE(mgr.telemetry(static_cast<Phase>(i)), CounterSnapshot{}) << i;
+  }
+  (void)mgr.set_phase(Phase::kMatching);
+  mgr.reset(6);
+  EXPECT_EQ(mgr.phase(), Phase::kCoverBuild);
+  for (std::size_t i = 0; i < kNumPhases; ++i) {
+    EXPECT_EQ(mgr.telemetry(static_cast<Phase>(i)), CounterSnapshot{}) << i;
+  }
+  // The governor's step slot follows the reset row.
+  (void)mgr.xor_(mgr.var_edge(0), mgr.var_edge(1));
+  EXPECT_GT(mgr.telemetry(Phase::kCoverBuild).value(Counter::kGovernorSteps),
+            0u);
+}
+
+TEST(Profile, RowsSumToTotalsWithoutACollector) {
+  Manager mgr(8);
+  std::mt19937_64 rng(9);
+  const minimize::IncSpec spec = workload::random_instance(mgr, 8, 0.4, rng);
+  const Edge g = minimize::osm_td(mgr, spec.f, spec.c);
+  (void)minimize::tsm_td(mgr, spec.f, spec.c);
+  {
+    const PhaseScope validation(mgr, Phase::kValidation);
+    EXPECT_TRUE(minimize::is_cover(mgr, g, spec));
+  }
+  CounterSnapshot sum;
+  for (std::size_t i = 0; i < kNumPhases; ++i) {
+    sum += mgr.telemetry(static_cast<Phase>(i));
+  }
+  EXPECT_EQ(mgr.telemetry(), sum);
+  EXPECT_GT(mgr.telemetry(Phase::kMatching).value(Counter::kGovernorSteps),
+            0u);
+}
+
+TEST(Profile, ScopeOnOneManagerNeverMovesAnother) {
+  Manager a(4);
+  Manager b(4);
+  PhaseProfile profile;
+  {
+    const ProfileCollector collect(a, &profile);
+    const PhaseScope matching(b, Phase::kMatching);
+    EXPECT_EQ(b.phase(), Phase::kMatching);
+    EXPECT_EQ(a.phase(), Phase::kCoverBuild);
+    (void)a.xor_(a.var_edge(0), a.var_edge(1));
+    (void)b.xor_(b.var_edge(0), b.var_edge(1));
+  }
+  EXPECT_EQ(b.phase(), Phase::kCoverBuild);
+  EXPECT_GT(profile[Phase::kCoverBuild].steps, 0u);
+  EXPECT_EQ(profile[Phase::kMatching].steps, 0u);
+  EXPECT_EQ(a.telemetry(Phase::kMatching), CounterSnapshot{});
+  EXPECT_GT(b.telemetry(Phase::kMatching).value(Counter::kGovernorSteps), 0u);
+}
+
+TEST(Engine, PhaseStepsSumToEachHeuristicsStepDelta) {
+  const std::vector<engine::Job> jobs = engine::random_jobs(8, 6, 0.3, 17);
+  // Each heuristic run meters its own step delta; the engine's collector
+  // must split exactly that much between matching and cover-build, and
+  // put its cover check in validation.
+  std::vector<minimize::Heuristic> set = minimize::all_heuristics();
+  std::vector<std::uint64_t> run_steps(set.size(), 0);
+  for (std::size_t h = 0; h < set.size(); ++h) {
+    set[h].run = [inner = set[h].run, total = &run_steps[h]](
+                     Manager& m, Edge f, Edge c) {
+      const std::uint64_t before =
+          m.telemetry().value(Counter::kGovernorSteps);
+      const Edge g = inner(m, f, c);
+      *total += m.telemetry().value(Counter::kGovernorSteps) - before;
+      return g;
+    };
+  }
+  engine::EngineOptions opts;
+  opts.num_threads = 1;
+  opts.heuristics = set;
+  const engine::BatchReport report = engine::run_batch(jobs, opts);
+  ASSERT_EQ(report.count(engine::JobStatus::kOk), jobs.size());
+  std::uint64_t validation = 0;
+  for (std::size_t h = 0; h < set.size(); ++h) {
+    std::uint64_t attributed = 0;
+    for (const engine::JobOutcome& o : report.outcomes) {
+      const PhaseProfile& p = o.results[h].phases;
+      attributed += p[Phase::kMatching].steps + p[Phase::kCoverBuild].steps;
+      validation += p[Phase::kValidation].steps;
+    }
+    EXPECT_EQ(attributed, run_steps[h]) << set[h].name;
+  }
+  EXPECT_GT(validation, 0u);
 }
 
 TEST(Engine, CounterColumnsAreByteIdenticalAcrossThreadCounts) {

@@ -82,7 +82,9 @@
 ///     src/analysis/failpoint.hpp).
 ///
 /// bddmin_cli stats [batch flags]
-///     Run the same batch as `batch` (all flags accepted) and print that
+///     Run the same batch as `batch` (its job and engine flags; the
+///     output flags --csv, --timings, --counters, --journal, --resume,
+///     --progress and --metrics are batch-only) and print that
 ///     batch's metrics record as Prometheus text exposition — the
 ///     telemetry counters summed over the jobs run (unique-table
 ///     inserts/hits, computed-cache hits/misses per op class, GC work,
@@ -92,7 +94,8 @@
 ///
 /// Exit codes: 0 every job ok; 3 at least one job errored (genuine bug);
 /// 4 no errors but some jobs degraded (resource-limit, timeout or
-/// cancelled); 1 usage / I/O problems, including a numeric flag that is
+/// cancelled); 1 usage / I/O problems, including a flag the subcommand
+/// does not take, a value flag with no value, and a numeric flag that is
 /// not a non-negative decimal integer.
 /// ```
 #include <unistd.h>
@@ -103,6 +106,7 @@
 #include <cstring>
 #include <fstream>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -139,6 +143,71 @@ std::string slurp(const char* path) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+/// A flag a subcommand accepts, and whether the next argument is its value.
+struct FlagSpec {
+  const char* name;
+  bool takes_value;
+};
+
+constexpr FlagSpec kMinimizeFlags[] = {
+    {"--heuristic", true}, {"--sift", false}, {"--node-limit", true}};
+constexpr FlagSpec kEquivFlags[] = {{"--stats", false}};
+constexpr FlagSpec kAuditFlags[] = {{"--level", true},
+                                    {"--mutate", true},
+                                    {"--sift", false},
+                                    {"--node-limit", true}};
+constexpr FlagSpec kFailpointsFlags[] = {{"--describe", false}};
+/// What batch_jobs and batch_options read: all `stats` takes.
+constexpr FlagSpec kBatchRunFlags[] = {
+    {"--pla", true},
+    {"--jobs", true},
+    {"--vars", true},
+    {"--density", true},
+    {"--seed", true},
+    {"--threads", true},
+    {"--heuristic", true},
+    {"--audit-level", true},
+    {"--timeout-ms", true},
+    {"--lower-bound", false},
+    {"--node-limit", true},
+    {"--step-limit", true},
+    {"--fallback-heuristic", true},
+    {"--shard-cost", true},
+    {"--no-shard", false},
+    {"--journal-group-commit", false}};
+/// What `batch` adds: its outputs.
+constexpr FlagSpec kBatchOutputFlags[] = {
+    {"--csv", true},     {"--timings", false},  {"--counters", false},
+    {"--journal", true}, {"--resume", false},   {"--progress", false},
+    {"--metrics", true}};
+
+/// The spec of flag \p arg in \p specs, or nullptr.
+const FlagSpec* find_flag(std::span<const FlagSpec> specs, const char* arg) {
+  for (const FlagSpec& f : specs) {
+    if (std::strcmp(f.name, arg) == 0) return &f;
+  }
+  return nullptr;
+}
+
+/// Usage error unless every argument after the first \p positional is a
+/// flag of \p accepted (or \p more), each value flag followed by its value.
+void check_flags(int argc, char** argv, int positional,
+                 std::span<const FlagSpec> accepted,
+                 std::span<const FlagSpec> more = {}) {
+  for (int i = positional; i < argc; ++i) {
+    const FlagSpec* spec = find_flag(accepted, argv[i]);
+    if (spec == nullptr) spec = find_flag(more, argv[i]);
+    if (spec == nullptr) {
+      throw std::invalid_argument(std::string("unknown flag '") + argv[i] +
+                                  "'");
+    }
+    if (spec->takes_value && ++i == argc) {
+      throw std::invalid_argument(std::string(spec->name) +
+                                  " expects a value");
+    }
+  }
 }
 
 bool has_flag(int argc, char** argv, const char* flag) {
@@ -211,6 +280,7 @@ Edge run_limited(Manager& mgr, const minimize::Heuristic& h,
 }
 
 int cmd_minimize(int argc, char** argv) {
+  check_flags(argc, argv, 1, kMinimizeFlags);
   const pla::Pla circuit = pla::parse_pla(slurp(argv[0]), argv[0]);
   Manager mgr(circuit.num_inputs);
   std::vector<std::uint32_t> vars(circuit.num_inputs);
@@ -277,6 +347,7 @@ int cmd_minimize(int argc, char** argv) {
 }
 
 int cmd_equiv(int argc, char** argv) {
+  check_flags(argc, argv, 2, kEquivFlags);
   const fsm::MachineSpec a =
       fsm::spec_from_fsm(fsm::parse_kiss2(slurp(argv[0]), argv[0]));
   const fsm::MachineSpec b =
@@ -308,7 +379,8 @@ int cmd_equiv(int argc, char** argv) {
   return result.equivalent ? 0 : 2;
 }
 
-int cmd_reach(int /*argc*/, char** argv) {
+int cmd_reach(int argc, char** argv) {
+  check_flags(argc, argv, 1, {});
   const fsm::Fsm machine = fsm::parse_kiss2(slurp(argv[0]), argv[0]);
   const fsm::MachineSpec spec = fsm::spec_from_fsm(machine);
   Manager mgr(spec.num_inputs + 2 * spec.num_state_bits);
@@ -342,6 +414,7 @@ int cmd_reach(int /*argc*/, char** argv) {
 }
 
 int cmd_audit(int argc, char** argv) {
+  check_flags(argc, argv, 1, kAuditFlags);
   const pla::Pla circuit = pla::parse_pla(slurp(argv[0]), argv[0]);
   Manager mgr(circuit.num_inputs);
   std::vector<std::uint32_t> vars(circuit.num_inputs);
@@ -549,6 +622,7 @@ int batch_exit_code(const engine::BatchReport& report) {
 }
 
 int cmd_batch(int argc, char** argv) {
+  check_flags(argc, argv, 0, kBatchRunFlags, kBatchOutputFlags);
   engine::EngineOptions opts = batch_options(argc, argv);
   const char* journal_path = flag_value(argc, argv, "--journal");
   const bool resume = has_flag(argc, argv, "--resume");
@@ -623,6 +697,7 @@ int cmd_batch(int argc, char** argv) {
 }
 
 int cmd_stats(int argc, char** argv) {
+  check_flags(argc, argv, 0, kBatchRunFlags);
   const std::vector<engine::Job> jobs = batch_jobs(argc, argv);
   const engine::EngineOptions opts = batch_options(argc, argv);
   const engine::BatchReport report = engine::run_batch(jobs, opts);
@@ -631,6 +706,7 @@ int cmd_stats(int argc, char** argv) {
 }
 
 int cmd_failpoints(int argc, char** argv) {
+  check_flags(argc, argv, 0, kFailpointsFlags);
   // Names only by default so shell loops (the CI sweep) can consume the
   // output directly; --describe adds the catalog descriptions.
   const bool describe = has_flag(argc, argv, "--describe");
@@ -693,8 +769,8 @@ int main(int argc, char** argv) {
                " [--metrics PATH]\n"
                "                   [--shard-cost C] [--no-shard]"
                " [--journal-group-commit]\n"
-               "  bddmin_cli stats [batch flags]  (prints the batch's"
-               " counters + histograms as Prometheus text)\n"
+               "  bddmin_cli stats [batch flags, no output flags]  (prints"
+               " the batch's counters + histograms as Prometheus text)\n"
                "  bddmin_cli failpoints [--describe]  (lists the registered"
                " fault-injection points)\n");
   return 1;
