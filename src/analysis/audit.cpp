@@ -78,7 +78,7 @@ AuditReport audit_manager(Manager& mgr, const AuditOptions& opts) {
     audit_refcounts(mgr, opts.roots, opts.exact_roots, report);
   }
   if (opts.level >= AuditLevel::kCache) {
-    audit_cache(mgr, opts.cache_replay_limit, report);
+    audit_cache(mgr, report);
   }
   return report;
 }

@@ -47,8 +47,9 @@ enum class AuditLevel : int {
   kCover = 4,
 };
 
-/// Parse BDDMIN_AUDIT_LEVEL (an integer, clamped to [0, 4]); absent or
-/// unparsable values mean kOff.
+/// Parse BDDMIN_AUDIT_LEVEL (an integer, clamped to [0, 4]); absent
+/// means kOff, and a value that is not a non-negative integer throws
+/// harness::EnvError.
 [[nodiscard]] AuditLevel audit_level_from_env();
 
 enum class Category {
@@ -97,8 +98,6 @@ struct AuditOptions {
   AuditLevel level = AuditLevel::kCover;
   /// Stop recording (but keep counting) findings beyond this many.
   std::size_t max_findings = 64;
-  /// Replay at most this many live ITE cache entries (0 = all of them).
-  std::size_t cache_replay_limit = 0;
   /// External root edges (with multiplicity) for the ref-count audit.
   /// Ignored unless `exact_roots` is set.
   std::span<const Edge> roots = {};
@@ -129,7 +128,7 @@ void audit_refcounts(const Manager& mgr, std::span<const Edge> roots,
 /// an uncached ITE and must reproduce the memoized result exactly
 /// (canonicity makes semantic equality an edge comparison).  May allocate
 /// nodes (the replays) — they are left dead for the next GC.
-void audit_cache(Manager& mgr, std::size_t replay_limit, AuditReport& report);
+void audit_cache(Manager& mgr, AuditReport& report);
 
 /// Run the tiers enabled by \p opts.level and collect one report.
 [[nodiscard]] AuditReport audit_manager(Manager& mgr, const AuditOptions& opts = {});

@@ -70,7 +70,7 @@ std::string entry_str(std::uint32_t op, Edge a, Edge b, Edge c) {
 
 }  // namespace
 
-void audit_cache(Manager& mgr, std::size_t replay_limit, AuditReport& report) {
+void audit_cache(Manager& mgr, AuditReport& report) {
   const std::vector<Node>& nodes = ManagerAccess::nodes(mgr);
   const std::uint64_t epoch = ManagerAccess::cache_epoch(mgr);
 
@@ -155,7 +155,6 @@ void audit_cache(Manager& mgr, std::size_t replay_limit, AuditReport& report) {
   // verdict is 1 iff ite(ite(a,!b,b), c, 0) is 0.
   std::map<std::array<std::uint32_t, 3>, Edge> memo;
   for (const LiveEntry& entry : replayable) {
-    if (replay_limit != 0 && report.cache_replays >= replay_limit) break;
     ++report.cache_replays;
     if (entry.op == op_disjoint) {
       if (entry.result != kOne) {

@@ -21,52 +21,36 @@
 /// R7 (tools/bddmin_lint.py) statically cross-checks that every
 /// `BDDMIN_FAILPOINT(` site is cataloged and unique.
 ///
-/// Arming, three ways:
-///  * programmatically: `failpoints().arm("gc_oom", {.mode = kOnce})`
+/// Arming, two ways:
+///  * programmatically: `failpoints().arm("gc_oom", 1)` (fire on the
+///    first evaluation) or `failpoints().arm_from_spec("gc_oom:once")`
 ///  * environment:      `BDDMIN_FAILPOINTS=gc_oom:once,job_decode_corrupt:nth:3`
 ///    (parsed by `arm_from_env`, which the batch engine calls at the top
 ///    of `run_batch` — so job *generation* in the CLI is never faulted,
 ///    only the batch under test)
 ///
-/// Modes: `off`, `once` (fire on the next evaluation, then disarm),
-/// `nth:N` (fire on the Nth evaluation after arming, then disarm),
-/// `random:P[:seed]` (fire each evaluation with probability P from a
-/// seeded per-site generator; stays armed until disarmed).
+/// Spec grammar: `name:off`, `name:once` (= `name:nth:1`) and `name:nth:N`
+/// (fire on the Nth evaluation after arming, then disarm).  A fired hit
+/// carries the site's catalog default payload.
 ///
-/// Thread safety: `poll()` is safe from any thread.  The disarmed fast
-/// path is one relaxed atomic load; armed evaluation takes a per-site
-/// mutex.  Arming/disarming while sites are being evaluated is
-/// supported.
+/// Thread safety: `poll()` is safe from any thread.  Each site is one
+/// atomic countdown decremented by compare-and-swap, so exactly one
+/// evaluation fires however many threads poll it; the disarmed fast path
+/// is one relaxed load.  Arming/disarming while sites are being
+/// evaluated is supported.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string_view>
-#include <vector>
-
-#include "analysis/thread_annotations.hpp"
 
 namespace bddmin::analysis {
-
-enum class FailPointMode : std::uint8_t { kOff, kOnce, kNth, kRandom };
-
-/// Arming parameters.  `value` overrides the site's catalog default
-/// payload when non-zero (journal_commit_abort uses it as the exit code).
-struct FailPointConfig {
-  FailPointMode mode = FailPointMode::kOff;
-  std::uint64_t nth = 1;      ///< kNth: fire on the nth evaluation (1-based)
-  double probability = 0.0;   ///< kRandom: per-evaluation fire probability
-  std::uint64_t seed = 1;     ///< kRandom: per-site generator seed
-  std::uint64_t value = 0;    ///< payload override; 0 keeps the default
-};
 
 /// Result of one evaluation.  Truthy iff the site should inject.
 struct FailPointHit {
   bool fired = false;
-  std::uint64_t value = 0;  ///< site payload (exit code, ...)
+  std::uint64_t value = 0;  ///< the catalog's payload (exit code, ...)
 
   explicit operator bool() const noexcept { return fired; }
 };
@@ -79,28 +63,15 @@ class FailPoint {
   FailPoint& operator=(const FailPoint&) = delete;
 
   /// Evaluate the failpoint: the disarmed fast path is one relaxed load.
-  [[nodiscard]] FailPointHit poll() noexcept BDDMIN_EXCLUDES(mu_);
-
-  /// Total fires since process start (diagnostics; monotone).
-  [[nodiscard]] std::uint64_t fire_count() const noexcept {
-    return fires_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] FailPointHit poll() noexcept;
 
  private:
   friend class FailPointRegistry;
-  explicit FailPoint(std::uint64_t default_value) noexcept
-      : default_value_(default_value) {}
+  constexpr explicit FailPoint(std::uint64_t value) noexcept : value_(value) {}
 
-  void configure(const FailPointConfig& cfg) BDDMIN_EXCLUDES(mu_);
-  [[nodiscard]] FailPointHit fire_locked() noexcept BDDMIN_REQUIRES(mu_);
-
-  std::atomic<bool> armed_{false};
-  std::atomic<std::uint64_t> fires_{0};
-  std::mutex mu_;
-  FailPointConfig cfg_ BDDMIN_GUARDED_BY(mu_);
-  std::uint64_t countdown_ BDDMIN_GUARDED_BY(mu_) = 0;  // kNth
-  std::uint64_t rng_ BDDMIN_GUARDED_BY(mu_) = 0;        // kRandom
-  const std::uint64_t default_value_;
+  /// Evaluations left up to and including the one that fires; 0 = disarmed.
+  std::atomic<std::uint64_t> countdown_{0};
+  const std::uint64_t value_;
 };
 
 /// The process-wide registry.  The set of failpoints is fixed at compile
@@ -110,14 +81,14 @@ class FailPointRegistry {
   struct CatalogEntry {
     const char* name;
     const char* description;
-    std::uint64_t default_value;  ///< default hit payload (0 if unused)
+    std::uint64_t default_value;  ///< hit payload (0 if unused)
   };
 
   static FailPointRegistry& instance();
 
-  /// The full compile-time catalog, for enumeration (CLI `failpoints`
-  /// subcommand, the failpoint sweep test).  A constant array: nothing is
-  /// allocated during static initialization.
+  /// The full compile-time catalog, for enumeration (the failpoint sweep
+  /// test).  A constant array: nothing is allocated during static
+  /// initialization.
   [[nodiscard]] static std::span<const CatalogEntry> catalog();
 
   /// The failpoint named \p name.  BDDMIN_CHECKs that the name is
@@ -125,33 +96,33 @@ class FailPointRegistry {
   /// error (config errors are reported by arm_from_spec).
   [[nodiscard]] FailPoint& site(std::string_view name);
 
-  /// Arm / disarm by name.  Throws std::invalid_argument on unknown
-  /// names (these come from user input, unlike site()).
-  void arm(std::string_view name, const FailPointConfig& cfg);
-  void disarm(std::string_view name);
+  /// Arm \p name to fire on its \p nth evaluation from now (1 = the
+  /// next one), then disarm; \p nth == 0 disarms.  Throws
+  /// std::invalid_argument on unknown names (these come from user input,
+  /// unlike site()).
+  void arm(std::string_view name, std::uint64_t nth);
   void disarm_all() noexcept;
 
-  /// Evaluate by name — for tests, which want mode semantics without a
+  /// Evaluate by name — for tests, which want arming semantics without a
   /// compiled-in site.
   [[nodiscard]] FailPointHit evaluate(std::string_view name);
 
-  /// Parse and arm one `name:mode[:arg...]` spec (grammar in the file
-  /// comment).  Throws std::invalid_argument with a precise message.
+  /// Parse and arm one spec (grammar in the file comment).  Throws
+  /// std::invalid_argument with a precise message.
   void arm_from_spec(std::string_view spec);
 
   /// Read BDDMIN_FAILPOINTS (comma-separated specs) and arm each one.
   /// No-op when unset.  Malformed specs are a hard error
   /// (harness::EnvError), consistent with the other BDDMIN_* variables.
-  /// Idempotent for once/nth modes in the sense that re-arming restarts
-  /// the countdown — callers invoke it at a single well-defined point
-  /// (the top of run_batch).
+  /// Re-arming restarts the countdown, so callers invoke it at a single
+  /// well-defined point (the top of run_batch).
   void arm_from_env();
 
  private:
-  FailPointRegistry();
-  [[nodiscard]] FailPoint* find(std::string_view name) noexcept;
-
-  std::vector<std::unique_ptr<FailPoint>> points_;  // parallel to catalog()
+  FailPointRegistry() = default;
+  /// The points, parallel to catalog(), in static storage.
+  [[nodiscard]] static std::span<FailPoint> points() noexcept;
+  [[nodiscard]] static FailPoint* find(std::string_view name) noexcept;
 };
 
 /// Shorthand for FailPointRegistry::instance().

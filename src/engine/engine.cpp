@@ -101,7 +101,6 @@ class ResultSink {
 struct WorkerContext {
   const EngineOptions* opts;
   const std::vector<minimize::Heuristic>* heuristics;
-  const minimize::Heuristic* fallback;  ///< nullptr = no budget retry
   unsigned worker;
   JournalWriter* journal = nullptr; ///< completion records; nullptr = off
   WorkerStats* stats = nullptr;     ///< utilization accounting
@@ -239,7 +238,7 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
     // A warm job must not flush: garbage_collect() clears the computed
     // cache, which is exactly the state warm reuse exists to keep.  The
     // soft-quota flush can't arise warm (quotas force the cold path).
-    if ((opts.flush_between && !warm) || mgr.governor().soft_exceeded()) {
+    if (!warm || mgr.governor().soft_exceeded()) {
       mgr.garbage_collect();
     }
     const auto start = Clock::now();
@@ -265,19 +264,20 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
         if (!outcome.detail.empty()) outcome.detail += "; ";
         outcome.detail += heuristics[h].name + ": " + limit_class_name(e.limit_class());
         g = best;
-        if (ctx.fallback != nullptr &&
-            ctx.fallback->name != heuristics[h].name) {
+        const std::optional<minimize::Heuristic>& fallback =
+            opts.fallback_heuristic;
+        if (fallback && fallback->name != heuristics[h].name) {
           try {
-            g = run_budgeted(mgr, *ctx.fallback,
+            g = run_budgeted(mgr, *fallback,
                              heuristic_budget(opts, job_start), spec.f, spec.c);
-            outcome.detail += " (retried on " + ctx.fallback->name + ")";
+            outcome.detail += " (retried on " + fallback->name + ")";
           } catch (const ResourceExhausted& e2) {
-            outcome.detail += " (retry on " + ctx.fallback->name + ": " +
+            outcome.detail += " (retry on " + fallback->name + ": " +
                               limit_class_name(e2.limit_class()) + ")";
             g = best;
           } catch (const std::exception& e2) {
             outcome.status = JobStatus::kError;
-            outcome.error = ctx.fallback->name + ": " + e2.what();
+            outcome.error = fallback->name + ": " + e2.what();
             break;
           }
         }
@@ -300,7 +300,7 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
             outcome.audit_findings += cover_report.findings.size();
             break;
           }
-        } else if (opts.validate_covers && !minimize::is_cover(mgr, g, spec)) {
+        } else if (!minimize::is_cover(mgr, g, spec)) {
           outcome.status = JobStatus::kError;
           outcome.error = heuristics[h].name + " returned a non-cover";
           break;
@@ -514,26 +514,7 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
   }
 
   std::vector<minimize::Heuristic> heuristics = effective.heuristics;
-  if (heuristics.empty()) {
-    heuristics = minimize::all_heuristics();
-    if (!effective.heuristic.empty()) {
-      heuristics = {minimize::heuristic_by_name(heuristics, effective.heuristic)};
-    }
-  }
-
-  minimize::Heuristic fallback_storage;
-  const minimize::Heuristic* fallback = nullptr;
-  if (!effective.fallback_heuristic.empty()) {
-    // Prefer a heuristic from the selected set; otherwise the full registry.
-    try {
-      fallback_storage =
-          minimize::heuristic_by_name(heuristics, effective.fallback_heuristic);
-    } catch (const std::out_of_range&) {
-      fallback_storage = minimize::heuristic_by_name(
-          minimize::all_heuristics(), effective.fallback_heuristic);
-    }
-    fallback = &fallback_storage;
-  }
+  if (heuristics.empty()) heuristics = minimize::all_heuristics();
 
   unsigned threads =
       effective.num_threads ? effective.num_threads
@@ -661,9 +642,9 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
     pool.reserve(threads);
     for (unsigned w = 0; w < threads; ++w) {
       pool.emplace_back([&, w] {
-        const WorkerContext ctx{&effective,    &heuristics, fallback,
-                                w,             journal.get(), &wstats[w],
-                                &to_run,       &plan,         warm_capable};
+        const WorkerContext ctx{&effective, &heuristics, w,
+                                journal.get(), &wstats[w], &to_run,
+                                &plan,      warm_capable};
         worker_loop(queue, jobs, sink, ctx);
       });
     }

@@ -66,6 +66,7 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -92,12 +93,13 @@ enum class JobStatus : std::uint8_t {
 
 [[nodiscard]] const char* job_status_name(JobStatus s) noexcept;
 
+/// Every job follows Section 4.1's method: a cold manager flushes its
+/// caches (garbage_collect) before each heuristic, and every cover is
+/// checked against Definition 2.  Neither is optional.
 struct EngineOptions {
   /// Worker count; 0 means std::thread::hardware_concurrency() (min 1).
   unsigned num_threads = 0;
-  /// Run only this heuristic (registry name); empty = all_heuristics().
-  std::string heuristic;
-  /// Explicit heuristic set; overrides `heuristic` when non-empty.
+  /// The heuristics every job runs; empty = all_heuristics().
   std::vector<minimize::Heuristic> heuristics;
   /// Per-job wall-clock budget.  Checked between heuristics and — via the
   /// worker manager's ResourceGovernor — polled *inside* the budgeted
@@ -109,36 +111,31 @@ struct EngineOptions {
   /// bddmin::NodeLimit and degrades the job to its fallback cover.  0 means
   /// unlimited; when 0, the BDDMIN_NODE_LIMIT environment variable (if set)
   /// supplies a fleet-wide default.  A soft quota at 3/4 of the hard one
-  /// triggers a garbage collection between heuristics even when
-  /// `flush_between` is off.
+  /// triggers a garbage collection between heuristics even on a warm
+  /// manager.
   std::size_t node_limit = 0;
   /// Recursion-step budget per heuristic run (memoization misses across
   /// ITE/cofactor/quantification and the minimization traversals); a
   /// deterministic, machine-independent effort bound.  0 means unlimited;
   /// when 0, BDDMIN_STEP_LIMIT (if set) supplies a default.
   std::uint64_t step_limit = 0;
-  /// Registry name of a cheaper heuristic to retry once — with a fresh
-  /// budget — when a heuristic exhausts its budget (e.g. "restr" as the
-  /// fallback for "osm_td").  Empty disables the retry; the job then keeps
-  /// the best previously validated cover (or the trivial cover f).
-  std::string fallback_heuristic;
+  /// A cheaper heuristic to retry once — with a fresh budget — when a
+  /// heuristic exhausts its budget (e.g. restr as the fallback for
+  /// osm_td).  Unset disables the retry; the job then keeps the best
+  /// previously validated cover (or the trivial cover f).
+  std::optional<minimize::Heuristic> fallback_heuristic;
   /// BddAudit depth after each job (1-3 audit the worker's manager;
   /// level 4 additionally replaces the plain cover check with the
   /// witness-reporting contract audit).  Findings turn the job kError.
   analysis::AuditLevel audit_level = analysis::AuditLevel::kOff;
-  /// Verify each cover against Definition 2 (cheap insurance).
-  bool validate_covers = true;
   /// Theorem 7 lower-bound cube budget per job (0 disables).
   std::size_t lower_bound_cubes = 0;
-  /// Garbage-collect (flushing caches) before each heuristic, as the
-  /// paper does for fair timing.
-  bool flush_between = true;
   /// log2 of each worker manager's computed-cache slots.
   unsigned cache_log2 = 14;
   /// Estimated-cost budget per shard (engine/shard.hpp cost units).  0
   /// disables coalescing — every job is its own shard and the engine
   /// behaves exactly as before sharding existed (the library default;
-  /// the CLI defaults to shard::kDefaultShardCost / BDDMIN_SHARD_COST).
+  /// the CLI defaults to kDefaultShardCost).
   /// Packing is deterministic, so any non-zero budget preserves the
   /// default-CSV byte-identity across thread counts.
   std::uint64_t shard_cost = 0;

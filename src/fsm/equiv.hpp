@@ -18,9 +18,8 @@ namespace bddmin::fsm {
 struct EquivOptions {
   /// Frontier minimizer; defaults to constrain as in SIS.
   MinimizeHook minimize;
+  /// See ReachOptions::image_method.
   ImageMethod image_method = ImageMethod::kRelational;
-  /// See ReachOptions::observe_image_constrains.
-  bool observe_image_constrains = true;
   std::size_t max_iterations = 100000;
   /// log2 of the computed-cache size of the internally created manager.
   /// Kept moderate because the experiment harness flushes it between

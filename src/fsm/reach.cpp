@@ -14,8 +14,7 @@ ReachResult reachable_states(Manager& mgr, const SymbolicFsm& machine,
         return minimize::constrain(m, f, c);
       };
   ImageConstrainObserver observer;
-  if (opts.observe_image_constrains && opts.minimize &&
-      opts.image_method == ImageMethod::kFunctional) {
+  if (opts.minimize && opts.image_method == ImageMethod::kFunctional) {
     observer = [&opts](Manager& m, Edge f, Edge c) {
       (void)opts.minimize(m, f, c);
     };

@@ -23,13 +23,12 @@ using MinimizeHook = std::function<Edge(Manager&, Edge f, Edge c)>;
 struct ReachOptions {
   /// Defaults to constrain, as in SIS's verify_fsm.
   MinimizeHook minimize;
+  /// With the functional method, the image computation's top-level
+  /// constrain(delta_k, S) calls are also reported to a set `minimize`
+  /// hook (their return value is ignored; see ImageConstrainObserver).
+  /// This mirrors verify_fsm, where those calls go through the same
+  /// constrain entry point the experiments intercept.
   ImageMethod image_method = ImageMethod::kRelational;
-  /// With the functional method, also report the image computation's
-  /// top-level constrain(delta_k, S) calls to the minimize hook (their
-  /// return value is ignored; see ImageConstrainObserver).  This mirrors
-  /// verify_fsm, where those calls go through the same constrain entry
-  /// point the experiments intercept.
-  bool observe_image_constrains = true;
   std::size_t max_iterations = 100000;
 };
 

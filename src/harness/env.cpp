@@ -1,6 +1,6 @@
 #include "harness/env.hpp"
 
-#include <cerrno>
+#include <charconv>
 #include <cstdlib>
 
 namespace bddmin::harness {
@@ -17,23 +17,16 @@ std::optional<std::string> env_string(const char* name) {
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const std::optional<std::string> raw = env_string(name);
   if (!raw) return fallback;
-  const std::string& text = *raw;
-  // strtoull accepts leading whitespace, '+', '-' (with wraparound) and
-  // "0x" prefixes; we want plain decimal digits only.
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      throw EnvError(std::string(name) +
-                     ": expected a non-negative integer, got '" + text + "'");
-    }
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno == ERANGE || end != text.c_str() + text.size()) {
+  // from_chars takes plain decimal digits only: no whitespace, sign or
+  // base prefix, and it reports overflow.
+  const char* end = raw->data() + raw->size();
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(raw->data(), end, value);
+  if (ec != std::errc() || ptr != end) {
     throw EnvError(std::string(name) +
-                   ": expected a non-negative integer, got '" + text + "'");
+                   ": expected a non-negative integer, got '" + *raw + "'");
   }
-  return static_cast<std::uint64_t>(value);
+  return value;
 }
 
 }  // namespace bddmin::harness

@@ -11,15 +11,6 @@
 ///   BDDMIN_FAILPOINTS   failpoint arming specs (analysis/failpoint)
 ///   BDDMIN_PROGRESS     1 = force the batch --progress line even when
 ///                       stderr is not a terminal (tools/bddmin_cli)
-///   BDDMIN_SHARD_COST   default shard cost budget for `batch` / `stats`
-///                       (tools/bddmin_cli; engine::kDefaultShardCost
-///                       when unset, overridden by --shard-cost)
-///   BDDMIN_NO_SHARD     1 = disable shard scheduling (same as
-///                       --no-shard; wins over BDDMIN_SHARD_COST)
-///   BDDMIN_JOURNAL_GROUP_COMMIT
-///                       1 = batch journal completion records per shard
-///                       with one fsync per flush (same as
-///                       --journal-group-commit)
 ///
 /// Integer parsing is strict: a variable that is set but does not parse
 /// as a non-negative integer is a hard error (EnvError names the

@@ -44,7 +44,7 @@ Edge Interceptor::process(Manager& mgr, Edge f, Edge c) {
   record.outcomes.reserve(heuristics_.size());
   using Clock = std::chrono::steady_clock;
   for (const minimize::Heuristic& h : heuristics_) {
-    if (opts_.flush_between) mgr.garbage_collect();
+    mgr.garbage_collect();
     const telemetry::CounterSnapshot before = mgr.telemetry();
     const auto start = Clock::now();
     const Edge g = h.run(mgr, f, c);
@@ -55,7 +55,7 @@ Edge Interceptor::process(Manager& mgr, Edge f, Edge c) {
       analysis::AuditReport cover_report;
       analysis::audit_cover(mgr, f, c, g, h.name, cover_report);
       if (!cover_report.ok()) throw std::logic_error(cover_report.summary());
-    } else if (opts_.validate_covers && !minimize::is_cover(mgr, g, spec)) {
+    } else if (!minimize::is_cover(mgr, g, spec)) {
       throw std::logic_error("heuristic " + h.name + " returned a non-cover");
     }
     if (opts_.audit_level >= analysis::AuditLevel::kStructural) {
@@ -82,7 +82,7 @@ Edge Interceptor::process(Manager& mgr, Edge f, Edge c) {
     record.outcomes.push_back(outcome);
   }
   if (opts_.lower_bound_cubes > 0) {
-    if (opts_.flush_between) mgr.garbage_collect();
+    mgr.garbage_collect();
     const minimize::LowerBoundResult lb =
         minimize::constrain_lower_bound(mgr, f, c, opts_.lower_bound_cubes);
     record.lower_bound = lb.bound;

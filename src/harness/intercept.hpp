@@ -3,8 +3,9 @@
 /// minimization call of the application is treated as an EBM instance;
 /// all heuristics run on it (caches flushed in between so no heuristic
 /// benefits from another's memoized work), sizes and runtimes are
-/// recorded, and the application receives constrain's result — exactly
-/// what verify_fsm would have used.
+/// recorded, every result is checked as a Definition 2 cover (a
+/// violation throws std::logic_error), and the application receives
+/// constrain's result — exactly what verify_fsm would have used.
 #pragma once
 
 #include <cstddef>
@@ -44,12 +45,6 @@ struct CallRecord {
 struct InterceptorOptions {
   /// Cube budget for the lower bound (the paper uses 1000; 0 disables).
   std::size_t lower_bound_cubes = 1000;
-  /// Verify each heuristic result really covers [f, c] (cheap insurance;
-  /// throws std::logic_error on violation).
-  bool validate_covers = true;
-  /// Garbage-collect (which flushes the computed caches) before each
-  /// heuristic, as the paper does for fair timing.
-  bool flush_between = true;
   /// BddAudit depth applied after every heuristic run (defaults to the
   /// BDDMIN_AUDIT_LEVEL environment knob, 0 = off).  Levels 1-3 audit the
   /// manager itself; level 4 additionally replaces the plain cover check

@@ -262,7 +262,8 @@ TEST(BatchEngine, SingleHeuristicSelectionByName) {
   const std::vector<Job> jobs = random_jobs(4, 6, 0.3, 4321);
   EngineOptions opts;
   opts.num_threads = 2;
-  opts.heuristic = "osm_td";
+  opts.heuristics = {
+      minimize::heuristic_by_name(minimize::all_heuristics(), "osm_td")};
   const BatchReport report = run_batch(jobs, opts);
   ASSERT_EQ(report.names.size(), 1u);
   EXPECT_EQ(report.names[0], "osm_td");

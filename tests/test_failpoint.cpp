@@ -1,13 +1,15 @@
 /// \file test_failpoint.cpp
-/// \brief Failpoint registry semantics (modes, arming grammar, env
-/// arming) and the batch engine's containment of injected faults: a
-/// fault fails or degrades at most the job it hit, and every worker
-/// manager comes back audit-clean.
+/// \brief Failpoint registry semantics (countdown arming, concurrent
+/// polls, arming grammar, env arming) and the batch engine's containment
+/// of injected faults: a fault fails or degrades at most the job it hit,
+/// and every worker manager comes back audit-clean.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/failpoint.hpp"
@@ -20,8 +22,6 @@
 namespace bddmin {
 namespace {
 
-using analysis::FailPointConfig;
-using analysis::FailPointMode;
 using analysis::FailPointRegistry;
 using analysis::failpoints;
 
@@ -57,9 +57,7 @@ TEST_F(FailPointTest, DisarmedPollNeverFires) {
 }
 
 TEST_F(FailPointTest, OnceFiresExactlyOnceThenDisarms) {
-  FailPointConfig cfg;
-  cfg.mode = FailPointMode::kOnce;
-  failpoints().arm("gc_oom", cfg);
+  failpoints().arm("gc_oom", 1);
   EXPECT_TRUE(failpoints().evaluate("gc_oom"));
   for (int i = 0; i < 20; ++i) {
     EXPECT_FALSE(failpoints().evaluate("gc_oom"));
@@ -67,58 +65,41 @@ TEST_F(FailPointTest, OnceFiresExactlyOnceThenDisarms) {
 }
 
 TEST_F(FailPointTest, NthFiresOnTheNthEvaluation) {
-  FailPointConfig cfg;
-  cfg.mode = FailPointMode::kNth;
-  cfg.nth = 3;
-  failpoints().arm("gc_oom", cfg);
+  failpoints().arm("gc_oom", 3);
   EXPECT_FALSE(failpoints().evaluate("gc_oom"));
   EXPECT_FALSE(failpoints().evaluate("gc_oom"));
   EXPECT_TRUE(failpoints().evaluate("gc_oom"));
   EXPECT_FALSE(failpoints().evaluate("gc_oom"));  // disarmed after firing
 }
 
-TEST_F(FailPointTest, RandomIsSeededAndDeterministic) {
-  const auto draw_sequence = [](std::uint64_t seed) {
-    FailPointConfig cfg;
-    cfg.mode = FailPointMode::kRandom;
-    cfg.probability = 0.5;
-    cfg.seed = seed;
-    failpoints().arm("gc_oom", cfg);
-    std::vector<bool> fires;
-    for (int i = 0; i < 64; ++i) {
-      fires.push_back(static_cast<bool>(failpoints().evaluate("gc_oom")));
+TEST_F(FailPointTest, ConcurrentPollsSeeExactlyOneFire) {
+  // Four threads race through the countdown; the CAS must hand the
+  // firing evaluation to exactly one of them, wherever K lands.
+  constexpr int kThreads = 4;
+  constexpr int kPollsPerThread = 2000;
+  for (const std::uint64_t k : {1u, 2u, 777u, 4000u, 8000u}) {
+    SCOPED_TRACE("nth:" + std::to_string(k));
+    failpoints().arm_from_spec("gc_oom:nth:" + std::to_string(k));
+    std::atomic<int> fires{0};
+    std::vector<std::thread> pollers;
+    for (int t = 0; t < kThreads; ++t) {
+      pollers.emplace_back([&fires] {
+        for (int i = 0; i < kPollsPerThread; ++i) {
+          if (failpoints().evaluate("gc_oom")) {
+            fires.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
     }
-    return fires;
-  };
-  const std::vector<bool> a = draw_sequence(42);
-  const std::vector<bool> b = draw_sequence(42);
-  EXPECT_EQ(a, b);
-  // p = 0.5 over 64 draws: all-equal outcomes are astronomically unlikely,
-  // and a degenerate generator would produce exactly that.
-  bool saw_fire = false;
-  bool saw_miss = false;
-  for (const bool f : a) (f ? saw_fire : saw_miss) = true;
-  EXPECT_TRUE(saw_fire);
-  EXPECT_TRUE(saw_miss);
-  // Random mode stays armed until disarmed.
-  FailPointConfig always;
-  always.mode = FailPointMode::kRandom;
-  always.probability = 1.0;
-  always.seed = 9;
-  failpoints().arm("gc_oom", always);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(failpoints().evaluate("gc_oom"));
+    for (std::thread& t : pollers) t.join();
+    EXPECT_EQ(fires.load(), 1);
+    EXPECT_FALSE(failpoints().evaluate("gc_oom"));
   }
 }
 
-TEST_F(FailPointTest, HitCarriesTheDefaultOrOverriddenPayload) {
-  FailPointConfig cfg;
-  cfg.mode = FailPointMode::kOnce;
-  failpoints().arm("journal_commit_abort", cfg);  // catalog default: 42
+TEST_F(FailPointTest, HitCarriesTheCatalogPayload) {
+  failpoints().arm("journal_commit_abort", 1);  // catalog default: 42
   EXPECT_EQ(failpoints().evaluate("journal_commit_abort").value, 42u);
-  cfg.value = 7;
-  failpoints().arm("journal_commit_abort", cfg);
-  EXPECT_EQ(failpoints().evaluate("journal_commit_abort").value, 7u);
 }
 
 TEST_F(FailPointTest, ArmFromSpecGrammar) {
@@ -127,30 +108,27 @@ TEST_F(FailPointTest, ArmFromSpecGrammar) {
   failpoints().arm_from_spec("gc_oom:nth:2");
   EXPECT_FALSE(failpoints().evaluate("gc_oom"));
   EXPECT_TRUE(failpoints().evaluate("gc_oom"));
-  failpoints().arm_from_spec("gc_oom:random:1.0:5");
-  EXPECT_TRUE(failpoints().evaluate("gc_oom"));
+  failpoints().arm_from_spec("gc_oom:once");
   failpoints().arm_from_spec("gc_oom:off");
   EXPECT_FALSE(failpoints().evaluate("gc_oom"));
 
-  EXPECT_THROW(failpoints().arm_from_spec("no_such_point:once"),
-               std::invalid_argument);
-  EXPECT_THROW(failpoints().arm_from_spec("gc_oom"), std::invalid_argument);
-  EXPECT_THROW(failpoints().arm_from_spec("gc_oom:sometimes"),
-               std::invalid_argument);
-  EXPECT_THROW(failpoints().arm_from_spec("gc_oom:nth:zero"),
-               std::invalid_argument);
-  EXPECT_THROW(failpoints().arm_from_spec("gc_oom:random:nope"),
-               std::invalid_argument);
+  for (const char* bad :
+       {"no_such_point:once", "gc_oom", ":once", "gc_oom:sometimes",
+        "gc_oom:nth:zero", "gc_oom:nth:0", "gc_oom:nth:", "gc_oom:once:7",
+        "gc_oom:nth:2:9", "gc_oom:random:1.0:5", "gc_oom:random:nope"}) {
+    EXPECT_THROW(failpoints().arm_from_spec(bad), std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST_F(FailPointTest, ArmFromEnvArmsEverySpec) {
-  setenv("BDDMIN_FAILPOINTS", "gc_oom:once,journal_commit_abort:nth:2:9", 1);
+  setenv("BDDMIN_FAILPOINTS", "gc_oom:once,journal_commit_abort:nth:2", 1);
   failpoints().arm_from_env();
   EXPECT_TRUE(failpoints().evaluate("gc_oom"));
   EXPECT_FALSE(failpoints().evaluate("journal_commit_abort"));
   const auto hit = failpoints().evaluate("journal_commit_abort");
   EXPECT_TRUE(hit);
-  EXPECT_EQ(hit.value, 9u);
+  EXPECT_EQ(hit.value, 42u);
 }
 
 TEST_F(FailPointTest, MalformedEnvSpecIsAHardError) {
@@ -219,7 +197,8 @@ TEST_F(FailPointTest, InjectedOomLeavesManagersAuditClean) {
   // job is a pure function of its payload.
   const std::vector<engine::Job> jobs = small_jobs(4);
   engine::EngineOptions eo;
-  eo.heuristic = "restr";
+  eo.heuristics = {
+      minimize::heuristic_by_name(minimize::all_heuristics(), "restr")};
   eo.num_threads = 1;
   eo.audit_level = analysis::AuditLevel::kCache;
   std::size_t degraded = 0;

@@ -213,7 +213,7 @@ TEST(GovernorEngine, AdversarialJobDegradesToResourceLimit) {
     const engine::BatchReport report = engine::run_batch(jobs, opts);
     ASSERT_EQ(report.outcomes.size(), 1u);
     const engine::JobOutcome& o = report.outcomes.front();
-    // Degraded, not failed: validate_covers is on, so kResourceLimit also
+    // Degraded, not failed: every cover is validated, so kResourceLimit also
     // certifies every reported cover satisfies f·c <= g <= f + c̄.
     EXPECT_EQ(o.status, engine::JobStatus::kResourceLimit) << o.error;
     EXPECT_TRUE(o.error.empty()) << o.error;
@@ -243,7 +243,8 @@ TEST(GovernorEngine, AdversarialJobsUnderATinyDeadline) {
   }
   engine::EngineOptions opts;
   opts.num_threads = 2;
-  opts.heuristic = "osm_td";
+  opts.heuristics = {
+      minimize::heuristic_by_name(minimize::all_heuristics(), "osm_td")};
   opts.audit_level = analysis::AuditLevel::kRefcount;
   for (const double timeout : {1e-6, 1e-5, 1e-4, 1e-3, 1e-2}) {
     opts.job_timeout_seconds = timeout;
@@ -276,8 +277,11 @@ TEST(GovernorEngine, BudgetExhaustionRetriesOnFallbackHeuristic) {
   engine::EngineOptions opts;
   opts.num_threads = 1;
   opts.step_limit = 2;  // every real heuristic trips almost immediately
-  opts.heuristic = "osm_td";
-  opts.fallback_heuristic = "f_orig";  // zero-step: always fits the budget
+  opts.heuristics = {
+      minimize::heuristic_by_name(minimize::all_heuristics(), "osm_td")};
+  // f_orig takes zero steps: it always fits the budget.
+  opts.fallback_heuristic =
+      minimize::heuristic_by_name(minimize::all_heuristics(), "f_orig");
   const engine::BatchReport report = engine::run_batch(jobs, opts);
   ASSERT_EQ(report.outcomes.size(), 1u);
   const engine::JobOutcome& o = report.outcomes.front();
@@ -417,7 +421,8 @@ TEST(GovernorEngine, EnvVariablesSupplyDefaultLimits) {
 
   engine::EngineOptions opts;
   opts.num_threads = 1;
-  opts.heuristic = "osm_td";
+  opts.heuristics = {
+      minimize::heuristic_by_name(minimize::all_heuristics(), "osm_td")};
   ASSERT_EQ(::setenv("BDDMIN_STEP_LIMIT", "2", 1), 0);
   const engine::BatchReport limited = engine::run_batch(jobs, opts);
   ASSERT_EQ(::unsetenv("BDDMIN_STEP_LIMIT"), 0);

@@ -295,7 +295,8 @@ TEST(JournalRecovery, GroupCommitTailTruncationKeepsWholeRecords) {
 TEST(JournalResume, ResumedBatchCsvIsByteIdentical) {
   const std::vector<Job> jobs = engine::random_jobs(6, 8, 0.5, 11);
   engine::EngineOptions eo;
-  eo.heuristic = "restr";
+  eo.heuristics = {
+      minimize::heuristic_by_name(minimize::all_heuristics(), "restr")};
   eo.num_threads = 2;
   const std::string baseline = engine::report_csv(engine::run_batch(jobs, eo));
 
@@ -327,7 +328,8 @@ TEST(JournalResume, ResumedBatchCsvIsByteIdentical) {
   ASSERT_EQ(resumed.jobs.size(), jobs.size());
   EXPECT_EQ(resumed.completed_count(), jobs.size() - 2);
   engine::EngineOptions ro;
-  ro.heuristic = "restr";
+  ro.heuristics = {
+      minimize::heuristic_by_name(minimize::all_heuristics(), "restr")};
   ro.num_threads = 2;
   ro.journal_path = path;
   ro.resume = &resumed;
@@ -422,26 +424,42 @@ TEST(Cli, MalformedNumericFlagIsAUsageError) {
   const std::string cli = BDDMIN_CLI_PATH;
   const std::string csv = temp_path("malformed.csv");
   const std::string err = temp_path("malformed.err");
-  const char* const integer = "a non-negative integer";
-  const char* const fraction = "a number in [0, 1]";
-  const char* const cases[][3] = {
-      {"--jobs", "abc", integer},    {"--timeout-ms", "5x", integer},
-      {"--vars", "-3", integer},     {"--vars", "0", "a positive integer"},
-      {"--density", "abc", fraction}, {"--density", "nan", fraction},
-      {"--density", "0.3x", fraction}, {"--density", "-1", fraction},
-      {"--density", "2", fraction},  {"--density", "1e400", fraction}};
-  for (const auto& [flag, value, expects] : cases) {
+  const std::string pla = temp_path("malformed.pla");
+  std::ofstream(pla) << ".i 2\n.o 1\n11 1\n.e\n";
+  const std::string batch = "batch --csv " + csv;
+  const std::string audit = "audit " + pla;
+  const std::string integer = "a non-negative integer";
+  const std::string fraction = "a number in [0, 1]";
+  const std::string level = "an integer in [0, 4]";
+  // {command, flag, value, what the diagnostic says the flag expects}
+  const std::string cases[][4] = {
+      {batch, "--jobs", "abc", integer},
+      {batch, "--timeout-ms", "5x", integer},
+      {batch, "--vars", "-3", integer},
+      {batch, "--vars", "0", "a positive integer"},
+      {batch, "--density", "abc", fraction},
+      {batch, "--density", "nan", fraction},
+      {batch, "--density", "0.3x", fraction},
+      {batch, "--density", "-1", fraction},
+      {batch, "--density", "2", fraction},
+      {batch, "--density", "1e400", fraction},
+      {batch, "--audit-level", "9", level},
+      {batch, "--audit-level", "-1", level},
+      {"stats", "--audit-level", "9", level},
+      {audit, "--level", "9", level}};
+  for (const auto& [command, flag, value, expects] : cases) {
     std::remove(csv.c_str());
-    EXPECT_EQ(run_cli(cli + " batch " + flag + " '" + value + "' --csv " +
-                      csv + " 2> " + err),
+    EXPECT_EQ(run_cli(cli + " " + command + " " + flag + " '" + value +
+                      "' > /dev/null 2> " + err),
               1)
-        << flag << ' ' << value;
-    const std::string want = std::string("error: ") + flag + " expects " +
-                             expects + ", got '" + value + "'";
+        << command << ' ' << flag << ' ' << value;
+    const std::string want =
+        "error: " + flag + " expects " + expects + ", got '" + value + "'";
     EXPECT_NE(read_file(err).find(want), std::string::npos) << read_file(err);
     EXPECT_FALSE(std::ifstream(csv).good()) << flag << " wrote a CSV";
   }
   std::remove(err.c_str());
+  std::remove(pla.c_str());
 }
 
 TEST(Cli, UnknownFlagIsAUsageError) {
@@ -458,7 +476,7 @@ TEST(Cli, UnknownFlagIsAUsageError) {
       {"batch", "--vars 4 --jobs", "--jobs expects a value"},
       {"stats", "--bogus", "unknown flag '--bogus'"},
       {"stats", "--timings", "unknown flag '--timings'"},
-      {"failpoints", "--bogus", "unknown flag '--bogus'"}};
+      {"batch", "--no-shard", "unknown flag '--no-shard'"}};
   for (const auto& [command, args, want] : cases) {
     std::remove(csv.c_str());
     // batch gets a --csv first, so a run that ignores the bad flag leaves

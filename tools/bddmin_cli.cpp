@@ -37,7 +37,7 @@
 ///                  [--fallback-heuristic NAME] [--csv PATH] [--timings]
 ///                  [--journal PATH] [--resume]
 ///                  [--progress] [--metrics PATH] [--shard-cost C]
-///                  [--no-shard] [--journal-group-commit]
+///                  [--journal-group-commit]
 ///     Shard a set of minimization jobs across a worker pool (each worker
 ///     owns a private manager) and print the per-status summary plus a
 ///     submission-order CSV report.  Jobs come from the PLA's output
@@ -67,19 +67,13 @@
 ///     shards; within a shard the pooled manager is reused warm (no
 ///     reset) across consecutive same-width jobs, so the computed cache
 ///     carries over.  The CLI defaults the shard budget to
-///     engine::kDefaultShardCost, overridable with --shard-cost C or
-///     BDDMIN_SHARD_COST; --no-shard (or BDDMIN_NO_SHARD=1) restores
-///     per-job scheduling.  The default CSV is byte-identical either
-///     way.  --journal-group-commit (or BDDMIN_JOURNAL_GROUP_COMMIT=1)
-///     batches the journal's completion records per shard with one
-///     fsync per flush; a crash re-runs at most the unflushed tail of
-///     one shard per worker on --resume.
-///
-/// bddmin_cli failpoints [--describe]
-///     List the registered fault-injection points (one name per line, for
-///     the CI sweep); --describe adds what each site simulates.  Arm them
-///     via BDDMIN_FAILPOINTS=name:mode[:arg...] (see
-///     src/analysis/failpoint.hpp).
+///     engine::kDefaultShardCost; --shard-cost C overrides it, and
+///     --shard-cost 0 restores per-job scheduling.  The default CSV is
+///     byte-identical either way.  --journal-group-commit batches the
+///     journal's completion records per shard with one fsync per flush;
+///     a crash re-runs at most the unflushed tail of one shard per
+///     worker on --resume.  --audit-level L and audit's --level N take
+///     an integer in [0, 4].
 ///
 /// bddmin_cli stats [batch flags]
 ///     Run the same batch as `batch` (its job and engine flags; the
@@ -95,8 +89,8 @@
 /// Exit codes: 0 every job ok; 3 at least one job errored (genuine bug);
 /// 4 no errors but some jobs degraded (resource-limit, timeout or
 /// cancelled); 1 usage / I/O problems, including a flag the subcommand
-/// does not take, a value flag with no value, and a numeric flag that is
-/// not a non-negative decimal integer.
+/// does not take, a value flag with no value, a numeric flag that is
+/// not a non-negative decimal integer, and an audit level outside [0, 4].
 /// ```
 #include <unistd.h>
 
@@ -115,7 +109,6 @@
 
 #include "analysis/audit.hpp"
 #include "analysis/cover_audit.hpp"
-#include "analysis/failpoint.hpp"
 #include "analysis/mutate.hpp"
 #include "bdd/bdd.hpp"
 #include "bdd/ops.hpp"
@@ -158,7 +151,6 @@ constexpr FlagSpec kAuditFlags[] = {{"--level", true},
                                     {"--mutate", true},
                                     {"--sift", false},
                                     {"--node-limit", true}};
-constexpr FlagSpec kFailpointsFlags[] = {{"--describe", false}};
 /// What batch_jobs and batch_options read: all `stats` takes.
 constexpr FlagSpec kBatchRunFlags[] = {
     {"--pla", true},
@@ -175,7 +167,6 @@ constexpr FlagSpec kBatchRunFlags[] = {
     {"--step-limit", true},
     {"--fallback-heuristic", true},
     {"--shard-cost", true},
-    {"--no-shard", false},
     {"--journal-group-commit", false}};
 /// What `batch` adds: its outputs.
 constexpr FlagSpec kBatchOutputFlags[] = {
@@ -224,6 +215,12 @@ const char* flag_value(int argc, char** argv, const char* flag) {
   return nullptr;
 }
 
+[[noreturn]] void bad_value(const char* flag, const char* expects,
+                            const char* raw) {
+  throw std::invalid_argument(std::string(flag) + " expects " + expects +
+                              ", got '" + raw + "'");
+}
+
 /// The value of numeric flag \p flag, or \p fallback when it is absent.
 /// Anything but a plain non-negative decimal that fits T is a usage error.
 template <typename T>
@@ -234,11 +231,24 @@ T uint_flag(int argc, char** argv, const char* flag, T fallback) {
   T value{};
   const auto [ptr, ec] = std::from_chars(raw, end, value);
   if (ec != std::errc() || ptr != end) {
-    throw std::invalid_argument(std::string(flag) +
-                                " expects a non-negative integer, got '" +
-                                raw + "'");
+    bad_value(flag, "a non-negative integer", raw);
   }
   return value;
+}
+
+/// The audit level of flag \p flag, or \p fallback when it is absent.
+/// Anything but a plain decimal in [0, 4] is a usage error.
+analysis::AuditLevel audit_level_flag(int argc, char** argv, const char* flag,
+                                      analysis::AuditLevel fallback) {
+  const char* raw = flag_value(argc, argv, flag);
+  if (raw == nullptr) return fallback;
+  const char* end = raw + std::strlen(raw);
+  unsigned value = 0;
+  const auto [ptr, ec] = std::from_chars(raw, end, value);
+  if (ec != std::errc() || ptr != end || value > 4) {
+    bad_value(flag, "an integer in [0, 4]", raw);
+  }
+  return static_cast<analysis::AuditLevel>(value);
 }
 
 /// The value of fraction flag \p flag, or \p fallback when it is absent.
@@ -250,9 +260,7 @@ double fraction_flag(int argc, char** argv, const char* flag, double fallback) {
   double value = 0.0;
   const auto [ptr, ec] = std::from_chars(raw, end, value);
   if (ec != std::errc() || ptr != end || !(value >= 0.0 && value <= 1.0)) {
-    throw std::invalid_argument(std::string(flag) +
-                                " expects a number in [0, 1], got '" + raw +
-                                "'");
+    bad_value(flag, "a number in [0, 1]", raw);
   }
   return value;
 }
@@ -421,8 +429,8 @@ int cmd_audit(int argc, char** argv) {
   std::iota(vars.begin(), vars.end(), 0u);
   const auto specs = pla::output_functions(mgr, circuit, vars);
 
-  const auto level = static_cast<analysis::AuditLevel>(
-      std::min(uint_flag(argc, argv, "--level", 4u), 4u));
+  const analysis::AuditLevel level =
+      audit_level_flag(argc, argv, "--level", analysis::AuditLevel::kCover);
   std::printf("%s: %u inputs, %u outputs, audit level %d\n",
               circuit.name.c_str(), circuit.num_inputs, circuit.num_outputs,
               static_cast<int>(level));
@@ -492,9 +500,7 @@ std::vector<engine::Job> batch_jobs(int argc, char** argv) {
   const unsigned count = uint_flag(argc, argv, "--jobs", 32u);
   const unsigned vars = uint_flag(argc, argv, "--vars", 8u);
   if (vars == 0) {
-    throw std::invalid_argument(
-        std::string("--vars expects a positive integer, got '") +
-        flag_value(argc, argv, "--vars") + "'");
+    bad_value("--vars", "a positive integer", flag_value(argc, argv, "--vars"));
   }
   const std::uint64_t seed =
       uint_flag<std::uint64_t>(argc, argv, "--seed", 1);
@@ -505,31 +511,25 @@ std::vector<engine::Job> batch_jobs(int argc, char** argv) {
 engine::EngineOptions batch_options(int argc, char** argv) {
   engine::EngineOptions opts;
   opts.num_threads = uint_flag(argc, argv, "--threads", 0u);
+  const std::vector<minimize::Heuristic> registry = minimize::all_heuristics();
   if (const char* name = flag_value(argc, argv, "--heuristic")) {
-    opts.heuristic = name;
+    opts.heuristics = {minimize::heuristic_by_name(registry, name)};
   }
-  opts.audit_level = static_cast<analysis::AuditLevel>(
-      std::min(uint_flag(argc, argv, "--audit-level", 0u), 4u));
+  opts.audit_level = audit_level_flag(argc, argv, "--audit-level",
+                                      analysis::AuditLevel::kOff);
   opts.job_timeout_seconds =
       static_cast<double>(uint_flag(argc, argv, "--timeout-ms", 0u)) / 1000.0;
   if (has_flag(argc, argv, "--lower-bound")) opts.lower_bound_cubes = 1000;
   opts.node_limit = uint_flag<std::size_t>(argc, argv, "--node-limit", 0);
   opts.step_limit = uint_flag<std::uint64_t>(argc, argv, "--step-limit", 0);
   if (const char* name = flag_value(argc, argv, "--fallback-heuristic")) {
-    opts.fallback_heuristic = name;
+    opts.fallback_heuristic = minimize::heuristic_by_name(registry, name);
   }
   // Sharding defaults ON at the CLI (the library default is off so
-  // embedders opt in); precedence is flag > environment > default.
-  opts.shard_cost = uint_flag<std::uint64_t>(
-      argc, argv, "--shard-cost",
-      harness::env_u64("BDDMIN_SHARD_COST", engine::kDefaultShardCost));
-  if (has_flag(argc, argv, "--no-shard") ||
-      harness::env_u64("BDDMIN_NO_SHARD", 0) != 0) {
-    opts.shard_cost = 0;
-  }
-  opts.journal_group_commit =
-      has_flag(argc, argv, "--journal-group-commit") ||
-      harness::env_u64("BDDMIN_JOURNAL_GROUP_COMMIT", 0) != 0;
+  // embedders opt in).
+  opts.shard_cost = uint_flag<std::uint64_t>(argc, argv, "--shard-cost",
+                                             engine::kDefaultShardCost);
+  opts.journal_group_commit = has_flag(argc, argv, "--journal-group-commit");
   return opts;
 }
 
@@ -705,21 +705,6 @@ int cmd_stats(int argc, char** argv) {
   return batch_exit_code(report);
 }
 
-int cmd_failpoints(int argc, char** argv) {
-  check_flags(argc, argv, 0, kFailpointsFlags);
-  // Names only by default so shell loops (the CI sweep) can consume the
-  // output directly; --describe adds the catalog descriptions.
-  const bool describe = has_flag(argc, argv, "--describe");
-  for (const auto& entry : analysis::FailPointRegistry::catalog()) {
-    if (describe) {
-      std::printf("%-22s %s\n", entry.name, entry.description);
-    } else {
-      std::printf("%s\n", entry.name);
-    }
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -741,9 +726,6 @@ int main(int argc, char** argv) {
     }
     if (argc >= 2 && std::strcmp(argv[1], "stats") == 0) {
       return cmd_stats(argc - 2, argv + 2);
-    }
-    if (argc >= 2 && std::strcmp(argv[1], "failpoints") == 0) {
-      return cmd_failpoints(argc - 2, argv + 2);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
@@ -767,11 +749,8 @@ int main(int argc, char** argv) {
                " [--csv PATH] [--timings] [--counters]\n"
                "                   [--journal PATH] [--resume] [--progress]"
                " [--metrics PATH]\n"
-               "                   [--shard-cost C] [--no-shard]"
-               " [--journal-group-commit]\n"
+               "                   [--shard-cost C] [--journal-group-commit]\n"
                "  bddmin_cli stats [batch flags, no output flags]  (prints"
-               " the batch's counters + histograms as Prometheus text)\n"
-               "  bddmin_cli failpoints [--describe]  (lists the registered"
-               " fault-injection points)\n");
+               " the batch's counters + histograms as Prometheus text)\n");
   return 1;
 }
