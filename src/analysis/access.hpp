@@ -36,6 +36,14 @@ struct ManagerAccess {
     return m.free_list_;
   }
 
+  /// GC candidate list and its per-slot membership marks.
+  static const std::vector<std::uint32_t>& gc_candidates(const Manager& m) noexcept {
+    return m.gc_candidates_;
+  }
+  static const std::vector<std::uint8_t>& gc_listed(const Manager& m) noexcept {
+    return m.gc_listed_;
+  }
+
   static const std::vector<std::uint32_t>& var_to_level(const Manager& m) noexcept {
     return m.var_to_level_;
   }

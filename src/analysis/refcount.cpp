@@ -16,6 +16,9 @@
 /// gap the old check_invariants() never covered — and checks that every
 /// live node is reachable from some externally-referenced node (an
 /// unreachable live node can never be dereferenced again: a leak).
+/// Finally, every allocated ref-0 slot must be on the GC candidate list,
+/// the only slots garbage_collect() examines: an unlisted one would never
+/// be reclaimed.
 #include <string>
 #include <vector>
 
@@ -85,6 +88,33 @@ void audit_refcounts(const Manager& mgr, std::span<const Edge> roots,
                "dead_count " + std::to_string(ManagerAccess::dead_count(mgr)) +
                    " but " + std::to_string(dead) +
                    " allocated nodes have ref == 0");
+  }
+
+  // GC candidates: each listed slot is marked and listed once, and every
+  // allocated ref-0 slot is listed.
+  const std::vector<std::uint32_t>& listed = ManagerAccess::gc_candidates(mgr);
+  const std::vector<std::uint8_t>& marks = ManagerAccess::gc_listed(mgr);
+  std::vector<std::uint8_t> on_list(nodes.size(), 0);
+  for (const std::uint32_t i : listed) {
+    if (i == 0 || i >= nodes.size() || marks[i] == 0 || on_list[i] != 0) {
+      report.add(Category::kAccounting,
+                 "GC candidate list entry " + std::to_string(i) +
+                     " is out of range, unmarked or listed twice");
+      continue;
+    }
+    on_list[i] = 1;
+  }
+  for (std::uint32_t i = 1; i < nodes.size(); ++i) {
+    if (marks[i] != on_list[i]) {
+      report.add(Category::kAccounting,
+                 "slot " + std::to_string(i) +
+                     " GC candidate mark disagrees with the list");
+    } else if (nodes[i].var != kFreeVar && nodes[i].ref == 0 &&
+               on_list[i] == 0) {
+      report.add(Category::kAccounting,
+                 "dead node " + std::to_string(i) +
+                     " is not on the GC candidate list (never reclaimed)");
+    }
   }
 
   // Reachability: a live node's refs come from clients (external) or from

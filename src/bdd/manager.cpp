@@ -90,7 +90,7 @@ Manager::Manager(unsigned num_vars, unsigned cache_log2)
   base_cache_log2_ = cache_log2;
   max_cache_log2_ = std::min(cache_log2 + kCacheGrowthHeadroom, kMaxCacheLog2);
   cache_set_mask_ = sets - 1;
-  nodes_.reserve(1u << 12);
+  reserve_slots(std::size_t{1} << 12);
   for (SubTable& table : subtables_) table.buckets.assign(4, kNilIndex);
   std::iota(var_to_level_.begin(), var_to_level_.end(), 0u);
   std::iota(level_to_var_.begin(), level_to_var_.end(), 0u);
@@ -129,6 +129,8 @@ void Manager::reset(unsigned num_vars) {
   num_vars_ = num_vars;
   nodes_.clear();  // trivial elements: keeps capacity, frees nothing
   free_list_.clear();
+  for (const std::uint32_t i : gc_candidates_) gc_listed_[i] = 0;
+  gc_candidates_.clear();
   subtables_.resize(num_vars);  // grows only when a job needs more variables
   for (SubTable& table : subtables_) {
     table.buckets.assign(4, kNilIndex);  // fresh-manager bucket count
@@ -217,11 +219,14 @@ std::uint32_t Manager::unique_insert(std::uint32_t var, Edge hi, Edge lo) {
     free_list_.pop_back();
   } else {
     if (nodes_.size() >= (kNilIndex >> 1)) throw std::length_error("BDD node table full");
-    try {
-      nodes_.emplace_back();
-    } catch (const std::bad_alloc&) {
-      throw OutOfMemory("node table", 2 * nodes_.capacity() * sizeof(Node));
+    if (nodes_.size() == nodes_.capacity()) {
+      try {
+        reserve_slots(2 * nodes_.size());  // the vector's own doubling
+      } catch (const std::bad_alloc&) {
+        throw OutOfMemory("node table", 2 * nodes_.capacity() * sizeof(Node));
+      }
     }
+    nodes_.emplace_back();
     index = static_cast<std::uint32_t>(nodes_.size() - 1);
   }
   counters_.bump(telemetry::Counter::kUniqueInserts);
@@ -235,10 +240,18 @@ std::uint32_t Manager::unique_insert(std::uint32_t var, Edge hi, Edge lo) {
   ++table.count;
   ++unique_total_;
   ++dead_count_;
+  list_candidate(index);
   ref(hi);  // a stored node holds a reference on each child
   ref(lo);
   if (table.count > table.buckets.size()) grow_buckets(table);
   return index;
+}
+
+void Manager::reserve_slots(std::size_t slots) {
+  nodes_.reserve(slots);
+  free_list_.reserve(slots);
+  gc_candidates_.reserve(slots);
+  if (gc_listed_.size() < slots) gc_listed_.resize(slots, 0);
 }
 
 void Manager::subtable_unlink(std::uint32_t index) {
@@ -309,22 +322,31 @@ void Manager::deref(Edge e) noexcept {
   if (--n.ref == 0) {
     --live_count_;
     ++dead_count_;
+    list_candidate(e.index());
   }
 }
 
 std::size_t Manager::garbage_collect() {
-  // Injected before any mutation: the work-list allocation is the only
-  // thing that can fail in a real GC, and it fails before the sweep.
+  // Injected before any mutation, so an abort here leaves the manager
+  // untouched.  (The sweep itself allocates nothing: its work list is the
+  // candidate list, reserved with the node table.)
   if (BDDMIN_FAILPOINT("gc_oom")) {
     throw OutOfMemory("failpoint: gc work list",
                       nodes_.size() * sizeof(std::uint32_t));
   }
   ++gc_runs_;
   counters_.bump(telemetry::Counter::kGcRuns);
-  std::vector<std::uint32_t> work;
-  for (std::uint32_t i = 1; i < nodes_.size(); ++i) {
-    if (nodes_[i].var != kFreeVar && nodes_[i].ref == 0) work.push_back(i);
-  }
+  // Every allocated ref-0 slot is a candidate, so the candidates still
+  // allocated with ref 0, in ascending order, are exactly the work list a
+  // scan of every slot builds: the same nodes are freed in the same order
+  // at O(candidates + reclaimed) cost.  The list is the work stack; its
+  // capacity covers every slot, so the sweep allocates nothing.
+  std::vector<std::uint32_t>& work = gc_candidates_;
+  std::sort(work.begin(), work.end());
+  for (const std::uint32_t i : work) gc_listed_[i] = 0;
+  std::erase_if(work, [this](std::uint32_t i) {
+    return nodes_[i].var == kFreeVar || nodes_[i].ref != 0;
+  });
   std::size_t freed = 0;
   while (!work.empty()) {
     const std::uint32_t i = work.back();
@@ -756,8 +778,7 @@ std::ptrdiff_t Manager::swap_adjacent_levels(std::uint32_t level) {
   std::vector<std::uint32_t> dead;
   NodeQuotaSuspension quota_pause(governor_);
   try {
-    nodes_.reserve(nodes_.size() + 2 * interacting.size());
-    free_list_.reserve(free_list_.size() + 2 * interacting.size());
+    reserve_slots(nodes_.size() + 2 * interacting.size());
     dead.reserve(2 * interacting.size());
   } catch (const std::bad_alloc&) {
     throw OutOfMemory("node table",

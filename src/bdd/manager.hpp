@@ -239,6 +239,9 @@ class BDDMIN_CAPABILITY("Manager") Manager {
   void deref(Edge e) noexcept;
   /// Sweep all nodes with a zero reference count (cascading to children),
   /// clear the computed cache, and recycle indices.  Returns nodes freed.
+  /// Costs O(candidates + reclaimed), not O(slots): only the slots that
+  /// reached ref 0 since the last collection are examined, and the sweep
+  /// frees them in the same order a scan of every slot would.
   std::size_t garbage_collect();
   /// Drop all memoized operation results (the paper's "flush the caches").
   void clear_caches() noexcept;
@@ -378,6 +381,17 @@ class BDDMIN_CAPABILITY("Manager") Manager {
   };
 
   [[nodiscard]] std::uint32_t unique_insert(std::uint32_t var, Edge hi, Edge lo);
+  /// Grow every per-slot array to \p slots entries, so claiming a slot (and
+  /// listing it as a GC candidate, and freeing it) below that never
+  /// allocates.  May throw std::bad_alloc.
+  void reserve_slots(std::size_t slots);
+  /// Put slot \p index, whose ref count is 0, on the GC candidate list
+  /// unless it is already there.  Never allocates (see reserve_slots).
+  void list_candidate(std::uint32_t index) noexcept {
+    if (gc_listed_[index] != 0) return;
+    gc_listed_[index] = 1;
+    gc_candidates_.push_back(index);
+  }
   void subtable_unlink(std::uint32_t index);
   void subtable_link(std::uint32_t index);
   void grow_buckets(SubTable& table);
@@ -405,6 +419,14 @@ class BDDMIN_CAPABILITY("Manager") Manager {
   std::vector<std::uint32_t> var_to_level_;
   std::vector<std::uint32_t> level_to_var_;
   std::vector<std::uint32_t> free_list_;     // recycled node indices
+  // GC candidates: every slot that reached ref 0 (created by unique_insert
+  // or dropped by deref) since the last collection, each listed once, as
+  // gc_listed_ marks.  Entries may have been revived or freed since;
+  // garbage_collect() filters them, then reuses the vector as its work
+  // stack.  Capacity tracks the table (reserve_slots), so a push never
+  // allocates.
+  std::vector<std::uint32_t> gc_candidates_;
+  std::vector<std::uint8_t> gc_listed_;      // per slot: on gc_candidates_
   // Mutable: a lookup that hits way 1 of a set promotes the entry to way 0
   // (move-to-front aging).  Like the counters, this is observation state.
   mutable std::vector<CacheSet> cache_;

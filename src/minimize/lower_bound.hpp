@@ -7,6 +7,18 @@
 /// [f, p] and |constrain(f, p)| is a lower bound on the minimum cover
 /// size of [f, c].  Enumerating cubes of c and taking the maximum
 /// tightens the bound.
+///
+/// Algorithm: one depth-first walk over c's paths, hi branch first.
+/// Descending an edge labelled v = b replaces the carried function by its
+/// Shannon cofactor at v = b — with a cube care set, constrain *is* the
+/// Shannon cofactor — so at the constant 1 the carried function is
+/// constrain(f, p) for that path's cube p.  Cubes sharing a prefix share
+/// its cofactor work, no cube BDD is built, and |constrain(f, p)| is
+/// counted once per distinct cofactor (by regular edge).  Cost:
+/// one cofactor per c edge walked plus one count_nodes per distinct
+/// cofactor, instead of a cube build, a full constrain traversal and a
+/// count per cube.  The bound and cubes_examined equal those of
+/// enumerating the cubes one by one and constraining f by each.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +38,8 @@ struct LowerBoundResult {
 /// tried first — the paper's suggested refinement ("look for large cubes
 /// ... by finding short paths from the root of c to the constant 1"),
 /// since a larger cube constrains more points and tends to bound better.
+/// The probe cofactors f by that cube's literals and counts as one more
+/// examined cube, outside the \p max_cubes budget.
 /// Preconditions: c != 0.  A constant f short-circuits to bound 1.
 [[nodiscard]] LowerBoundResult constrain_lower_bound(
     Manager& mgr, Edge f, Edge c, std::size_t max_cubes = 1000,

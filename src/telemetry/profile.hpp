@@ -80,11 +80,12 @@ class ProfileCollector {
 /// through it.
 ///
 /// Must be bound to a named local: a discarded temporary switches the
-/// phase and switches straight back, attributing nothing — lint rule R5
-/// (tools/bddmin_lint.py) rejects that form.
+/// phase and switches straight back, attributing nothing.  The
+/// constructor is [[nodiscard]], so the compiler warns on that form (an
+/// error under -Werror; tests/compile_fail/discarded_phase_scope.cpp).
 class PhaseScope {
  public:
-  PhaseScope(Manager& mgr, Phase p) noexcept
+  [[nodiscard]] PhaseScope(Manager& mgr, Phase p) noexcept
       : mgr_(mgr), prev_(mgr.set_phase(p)) {}
   ~PhaseScope() { (void)mgr_.set_phase(prev_); }
   PhaseScope(const PhaseScope&) = delete;

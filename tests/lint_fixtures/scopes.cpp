@@ -1,7 +1,7 @@
-// Lint fixture (never compiled): seeds R3 (raw assert), R4 (edge used
-// across a collection without pinning) and R5 (discarded telemetry scope
-// temporaries).  Expected findings are asserted line-exactly by
-// tests/test_lint.cpp.
+// Lint fixture (never compiled): seeds R3 (raw assert) and R4 (edge used
+// across a collection without pinning).  Expected findings are asserted
+// line-exactly by tests/test_lint.cpp.  A discarded PhaseScope temporary
+// is a compiler error instead (tests/compile_fail/discarded_phase_scope.cpp).
 #include <cassert>
 
 namespace bddmin {
@@ -35,15 +35,6 @@ void pinned_edge(Mgr& mgr) {
   mgr.ref(f);  // compliant: explicit reference survives the collection
   mgr.garbage_collect();
   use(f);
-}
-
-void discarded_scopes(Mgr& mgr) {
-  // VIOLATION R5 (line 42): temporary destructs before the next statement.
-  telemetry::PhaseScope(mgr, telemetry::Phase::kMatching);
-  // VIOLATION R5 (line 44): same mistake without the namespace.
-  PhaseScope(mgr, telemetry::Phase::kValidation);
-  const telemetry::PhaseScope named(mgr, telemetry::Phase::kMatching);  // ok
-  (void)named;
 }
 
 }  // namespace bddmin

@@ -4,13 +4,40 @@
 
 #include <random>
 
+#include "bdd/cube.hpp"
 #include "bdd/ops.hpp"
 #include "bdd/truth_table.hpp"
 #include "minimize/exact.hpp"
 #include "minimize/registry.hpp"
+#include "minimize/sibling.hpp"
+#include "workload/instances.hpp"
 
 namespace bddmin::minimize {
 namespace {
+
+/// The per-cube loop the prefix walk replaced: build each cube of c as a
+/// BDD, constrain f by it, count the result.
+LowerBoundResult per_cube_bound(Manager& mgr, Edge f, Edge c,
+                                std::size_t max_cubes, bool probe) {
+  LowerBoundResult r;
+  if (Manager::is_const(f)) {
+    r.bound = 1;
+    return r;
+  }
+  const auto size_under = [&](const CubeVec& cube) {
+    return count_nodes(mgr, constrain(mgr, f, cube_to_edge(mgr, cube)));
+  };
+  if (probe && c != kOne) {
+    r.bound = size_under(largest_cube(mgr, c, mgr.num_vars()));
+    r.cubes_examined = 1;
+  }
+  r.cubes_examined += for_each_cube(
+      mgr, c, mgr.num_vars(), max_cubes, [&](const CubeVec& cube) {
+        r.bound = std::max(r.bound, size_under(cube));
+        return true;
+      });
+  return r;
+}
 
 TEST(LowerBound, NeverExceedsExactMinimum) {
   Manager mgr(4);
@@ -105,9 +132,38 @@ TEST(LowerBound, LargestCubeProbeStaysSoundAndCountsItsCube) {
       EXPECT_LE(probed.bound, exact->size);
     }
     const LowerBoundResult plain = constrain_lower_bound(mgr, f, c, 50);
-    EXPECT_GE(probed.bound, plain.bound == 0 ? 0 : 1u);
+    // The probed run walks the same capped cubes plus one more.
+    EXPECT_GE(probed.bound, plain.bound);
     EXPECT_EQ(probed.cubes_examined,
               plain.cubes_examined + (c == kOne ? 0 : 1));
+  }
+}
+
+TEST(LowerBound, PrefixWalkMatchesPerCubeConstrain) {
+  std::mt19937_64 rng(97);
+  for (unsigned n = 4; n <= 8; ++n) {
+    Manager mgr(n);
+    for (int round = 0; round < 6; ++round) {
+      const IncSpec spec =
+          workload::random_instance(mgr, n, 0.2 + 0.15 * round, rng);
+      for (const Edge c : {spec.c, !spec.c, kOne}) {
+        if (c == kZero) continue;
+        for (const std::size_t budget : {0u, 1u, 2u, 5u, 50u, 1000u}) {
+          for (const bool probe : {false, true}) {
+            const LowerBoundResult want =
+                per_cube_bound(mgr, spec.f, c, budget, probe);
+            const LowerBoundResult got =
+                constrain_lower_bound(mgr, spec.f, c, budget, probe);
+            EXPECT_EQ(got.bound, want.bound)
+                << n << " vars, round " << round << ", budget " << budget
+                << ", probe " << probe << ", c bits " << c.bits;
+            EXPECT_EQ(got.cubes_examined, want.cubes_examined)
+                << n << " vars, round " << round << ", budget " << budget
+                << ", probe " << probe << ", c bits " << c.bits;
+          }
+        }
+      }
+    }
   }
 }
 

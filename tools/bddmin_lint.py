@@ -17,9 +17,9 @@ Rules (see docs/API.md for the full contract text):
       `reorder_sift*()` call unless it was pinned first (wrapped in a
       `Bdd`, passed to `pin_for_unwind`, or stored into a pinned
       container) — unpinned edges may dangle across reclamation
-  R5  `PhaseScope` must be bound to a named local; a discarded temporary
-      destructs immediately and records nothing
-  (R6 is retired; rule ids are never reused, since suppressions cite them)
+  (R5 and R6 are retired; rule ids are never reused, since suppressions
+  cite them.  R5's discarded `PhaseScope` temporary is now a compiler
+  diagnostic: the constructor is [[nodiscard]].)
   R7  failpoint hygiene: every `BDDMIN_FAILPOINT("name")` site must name
       an entry of the catalog in src/analysis/failpoint.cpp, each
       catalog name may have at most one site in the tree (a second site
@@ -47,12 +47,11 @@ import os
 import re
 import sys
 
-ALL_RULES = ("R1", "R2", "R3", "R4", "R5", "R7")
+ALL_RULES = ("R1", "R2", "R3", "R4", "R7")
 
 # Files whose *definitions* legitimately contain the patterns a rule hunts.
 RULE_EXEMPT_FILES = {
     "R3": ("src/analysis/check.hpp",),
-    "R5": ("src/telemetry/profile.hpp",),
 }
 
 # R1 applies to the BDD core only: that is where memoized recursions live
@@ -418,19 +417,6 @@ def check_r4(relpath, body_line, body, findings):
                 "first)"))
 
 
-SCOPE_TEMP_RE = re.compile(
-    r"(?:^|[;{}])\s*(?:\w[\w:]*::)?(PhaseScope)\s*[({]")
-
-
-def check_r5(relpath, clean, findings):
-    line_of = _line_index(clean)
-    for m in SCOPE_TEMP_RE.finditer(clean):
-        findings.append(Finding(
-            relpath, line_of(m.start(1)), "R5",
-            f"discarded {m.group(1)} temporary destructs immediately — "
-            "bind it to a named local"))
-
-
 FAILPOINT_SITE_RE = re.compile(r"\bBDDMIN_FAILPOINT\s*\(\s*\"(\w+)\"\s*\)")
 FAILPOINT_ENTRY_RE = re.compile(r"^\s*\{\s*\"(\w+)\"", re.MULTILINE)
 EMPTY_EXHAUSTED_CATCH_RE = re.compile(
@@ -689,8 +675,6 @@ def main():
             for body_line, body in bodies:
                 body_clean = body if cindex is None else scan_source(body)[0]
                 check_r4(rel, body_line, body_clean, findings)
-        if "R5" in rules and not exempt(rel, "R5"):
-            check_r5(rel, clean, findings)
         if "R7" in rules and not exempt(rel, "R7"):
             clean_keep = scan_source(text, keep_strings=True)[0]
             check_r7(rel, clean_keep, clean, failpoint_catalog,
