@@ -48,15 +48,6 @@ std::size_t for_each_cube(const Manager& mgr, Edge f, unsigned num_vars,
   return walker.visited;
 }
 
-std::vector<Edge> collect_cubes(Manager& mgr, Edge f, std::size_t max_cubes) {
-  std::vector<Edge> cubes;
-  for_each_cube(mgr, f, mgr.num_vars(), max_cubes, [&](const CubeVec& cube) {
-    cubes.push_back(cube_to_edge(mgr, cube));
-    return true;
-  });
-  return cubes;
-}
-
 Edge cube_to_edge(Manager& mgr, const CubeVec& cube) {
   // Build bottom-up in order position, so each step is one make_node.
   std::vector<std::uint32_t> vars;

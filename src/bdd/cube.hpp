@@ -29,10 +29,6 @@ std::size_t for_each_cube(const Manager& mgr, Edge f, unsigned num_vars,
                           std::size_t max_cubes,
                           const std::function<bool(const CubeVec&)>& visitor);
 
-/// Collect up to \p max_cubes cubes of f as BDD edges (0 = unlimited).
-[[nodiscard]] std::vector<Edge> collect_cubes(Manager& mgr, Edge f,
-                                              std::size_t max_cubes);
-
 /// Build the conjunction-of-literals BDD for a positional cube.
 [[nodiscard]] Edge cube_to_edge(Manager& mgr, const CubeVec& cube);
 

@@ -10,8 +10,7 @@
 /// Limit classes:
 ///  * **node quota** — a hard ceiling on allocated table slots (live + dead
 ///    nodes), checked in `Manager::unique_insert` *before* a new slot is
-///    claimed; an optional soft quota below it only raises a sticky flag so
-///    callers can schedule a garbage collection at the next safe point.
+///    claimed.
 ///  * **step budget** — a count of memoization misses across the budgeted
 ///    recursions (ITE, cofactor, quantification, composition and the
 ///    minimization traversals); a machine-independent, deterministic proxy
@@ -97,8 +96,6 @@ class OutOfMemory final : public ResourceExhausted {
 
 /// One budget.  Zero always means "unlimited" for that dimension.
 struct ResourceLimits {
-  /// Sticky-flag quota on allocated nodes (live + dead); never throws.
-  std::size_t soft_node_limit = 0;
   /// Hard quota on allocated nodes; exceeding it throws NodeLimit.
   std::size_t hard_node_limit = 0;
   /// Budget of memoization misses; exceeding it throws StepLimit.
@@ -107,8 +104,7 @@ struct ResourceLimits {
   double deadline_seconds = 0.0;
 
   [[nodiscard]] bool unlimited() const noexcept {
-    return soft_node_limit == 0 && hard_node_limit == 0 && step_limit == 0 &&
-           deadline_seconds <= 0.0;
+    return hard_node_limit == 0 && step_limit == 0 && deadline_seconds <= 0.0;
   }
 };
 
@@ -121,12 +117,11 @@ class ResourceGovernor {
   static_assert((kDeadlinePollInterval & (kDeadlinePollInterval - 1)) == 0,
                 "poll interval must be a power of two");
 
-  /// Install \p limits, resetting the step counter, the soft flag and the
-  /// deadline clock (deadline_seconds counts from now).
+  /// Install \p limits, resetting the step counter and the deadline clock
+  /// (deadline_seconds counts from now).
   void set_limits(const ResourceLimits& limits) {
     limits_ = limits;
     steps_ = 0;
-    soft_exceeded_ = false;
     watching_steps_ = limits.step_limit > 0 || limits.deadline_seconds > 0.0;
     if (limits.deadline_seconds > 0.0) {
       deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -138,7 +133,6 @@ class ResourceGovernor {
   void clear() noexcept {
     limits_ = ResourceLimits{};
     watching_steps_ = false;
-    soft_exceeded_ = false;
   }
   /// Fresh-job state for a pooled manager (Manager::reset()): clears the
   /// limits AND the always-on telemetry (steps used, peak live) so a reused
@@ -183,25 +177,17 @@ class ResourceGovernor {
     return critical_depth_ > 0;
   }
 
-  /// Enforce the node quotas against \p allocated (live + dead nodes);
+  /// Enforce the node quota against \p allocated (live + dead nodes);
   /// called by the manager before claiming a new table slot, so hitting an
   /// existing node never throws.
   void check_nodes(std::size_t allocated) {
     if (limits_.hard_node_limit != 0 && allocated >= limits_.hard_node_limit) {
       throw NodeLimit(allocated, limits_.hard_node_limit);
     }
-    if (limits_.soft_node_limit != 0 && allocated >= limits_.soft_node_limit) {
-      soft_exceeded_ = true;
-    }
   }
   [[nodiscard]] bool node_limited() const noexcept {
-    return limits_.hard_node_limit != 0 || limits_.soft_node_limit != 0;
+    return limits_.hard_node_limit != 0;
   }
-
-  /// True once the soft node quota has been reached; sticky until the next
-  /// set_limits()/clear().  Callers should garbage-collect at the next safe
-  /// point (the batch engine does so between heuristics).
-  [[nodiscard]] bool soft_exceeded() const noexcept { return soft_exceeded_; }
 
   [[nodiscard]] std::uint64_t steps_used() const noexcept { return steps_; }
 
@@ -227,40 +213,34 @@ class ResourceGovernor {
   std::size_t peak_live_ = 0;
   unsigned critical_depth_ = 0;
   bool watching_steps_ = false;
-  bool soft_exceeded_ = false;
 };
 
-/// RAII: suspend the node quotas (soft and hard) for the duration of a
-/// structural operation that must not abort mid-mutation — adjacent-level
-/// swaps rewrite the table after flipping the order maps, so a NodeLimit
-/// thrown from unique_insert inside the rewrite would tear the manager and
-/// break the strong abort guarantee.  Only the quota checked by
-/// `unique_insert` is paused: the step budget, deadline and all telemetry
-/// keep running, and — unlike `set_limits` — neither the step counter nor
-/// the deadline clock is reset.  The exact previous quotas are restored on
-/// scope exit (including unwinding); the caller re-enforces them at the
-/// next safe point with `check_nodes`.
+/// RAII: suspend the node quota for the duration of a structural
+/// operation that must not abort mid-mutation — adjacent-level swaps
+/// rewrite the table after flipping the order maps, so a NodeLimit thrown
+/// from unique_insert inside the rewrite would tear the manager and break
+/// the strong abort guarantee.  Only the quota checked by `unique_insert`
+/// is paused: the step budget, deadline and all telemetry keep running,
+/// and — unlike `set_limits` — neither the step counter nor the deadline
+/// clock is reset.  The exact previous quota is restored on scope exit
+/// (including unwinding); the caller re-enforces it at the next safe
+/// point with `check_nodes`.
 class NodeQuotaSuspension {
  public:
   explicit NodeQuotaSuspension(ResourceGovernor& gov) noexcept
-      : gov_(gov),
-        soft_(gov.limits_.soft_node_limit),
-        hard_(gov.limits_.hard_node_limit) {
-    gov_.limits_.soft_node_limit = 0;
+      : gov_(gov), hard_(gov.limits_.hard_node_limit) {
     gov_.limits_.hard_node_limit = 0;
     ++gov_.critical_depth_;
   }
   NodeQuotaSuspension(const NodeQuotaSuspension&) = delete;
   NodeQuotaSuspension& operator=(const NodeQuotaSuspension&) = delete;
   ~NodeQuotaSuspension() {
-    gov_.limits_.soft_node_limit = soft_;
     gov_.limits_.hard_node_limit = hard_;
     --gov_.critical_depth_;
   }
 
  private:
   ResourceGovernor& gov_;
-  std::size_t soft_;
   std::size_t hard_;
 };
 

@@ -11,17 +11,13 @@
 #include <unordered_map>
 #include <utility>
 
-#include "analysis/cover_audit.hpp"
 #include "analysis/failpoint.hpp"
 #include "analysis/thread_annotations.hpp"
-#include "bdd/bdd.hpp"
-#include "bdd/ops.hpp"
 #include "engine/journal.hpp"
 #include "engine/queue.hpp"
 #include "engine/shard.hpp"
 #include "harness/csv.hpp"
 #include "harness/env.hpp"
-#include "minimize/lower_bound.hpp"
 #include "telemetry/histogram.hpp"
 
 namespace bddmin::engine {
@@ -109,46 +105,13 @@ struct WorkerContext {
   /// True when mid-shard jobs may reuse a warm manager: sharding is on
   /// and no escape hatch (node/step quota, structural audit) is armed.
   bool warm_capable = false;
+  /// The batch-wide part of every job's call options; process_job adds
+  /// the job's deadline and whether to flush.
+  harness::CallOptions call;
 };
 
 [[nodiscard]] bool cancelled(const EngineOptions& opts) {
   return opts.cancel && opts.cancel->load(std::memory_order_relaxed);
-}
-
-/// The per-heuristic budget: quotas from the options, deadline from
-/// whatever remains of the job's wall-clock allowance.
-[[nodiscard]] ResourceLimits heuristic_budget(const EngineOptions& opts,
-                                              Clock::time_point job_start) {
-  ResourceLimits budget;
-  budget.hard_node_limit = opts.node_limit;
-  if (opts.node_limit > 0) {
-    budget.soft_node_limit = opts.node_limit - opts.node_limit / 4;
-  }
-  budget.step_limit = opts.step_limit;
-  if (opts.job_timeout_seconds > 0.0) {
-    const double remaining =
-        opts.job_timeout_seconds -
-        std::chrono::duration<double>(Clock::now() - job_start).count();
-    budget.deadline_seconds = std::max(remaining, 1e-9);
-  }
-  return budget;
-}
-
-/// Run one heuristic under \p budget; always leaves the governor cleared.
-/// On a budget trip the partially built result is reclaimed immediately so
-/// the fallback heuristic starts from a compact table.
-[[nodiscard]] Edge run_budgeted(Manager& mgr, const minimize::Heuristic& h,
-                                const ResourceLimits& budget, Edge f, Edge c) {
-  mgr.governor().set_limits(budget);
-  try {
-    const Edge g = h.run(mgr, f, c);
-    mgr.governor().clear();
-    return g;
-  } catch (...) {
-    mgr.governor().clear();
-    mgr.garbage_collect();  // partial results are dead nodes; reclaim now
-    throw;
-  }
 }
 
 /// The worker's pooled manager, reset to the fresh terminal-only state for
@@ -212,133 +175,20 @@ JobOutcome process_job(const Job& job, const WorkerContext& ctx,
     outcome.error = std::string("decode: ") + e.what();
     return outcome;
   }
-  const Bdd f_pin(mgr, spec.f);
-  const Bdd c_pin(mgr, spec.c);
-  outcome.f_size = count_nodes(mgr, spec.f);
-  outcome.c_size = count_nodes(mgr, spec.c);
-  outcome.c_onset = minimize::c_onset_fraction(mgr, spec);
-
-  // Covers stay pinned so the end-of-job audit sees live roots.  `best`
-  // tracks the smallest validated cover so far — the degradation target
-  // when a later heuristic exhausts its budget; it starts at the trivial
-  // cover f, which satisfies f·c <= f <= f + c̄ by construction.
+  harness::CallOptions call = ctx.call;
+  if (opts.job_timeout_seconds > 0.0) {
+    call.deadline = job_start + std::chrono::duration_cast<Clock::duration>(
+                                    std::chrono::duration<double>(
+                                        opts.job_timeout_seconds));
+  }
+  // A warm job must not flush: garbage_collect() clears the computed
+  // cache, which is exactly the state warm reuse exists to keep.
+  call.flush = !warm;
+  // The job keeps every cover live until it ends, so a budget trip can
+  // degrade to the best earlier cover.
   std::vector<Bdd> covers;
-  covers.reserve(heuristics.size());
-  Edge best = spec.f;  // kept live by f_pin / the covers vector
-  std::size_t best_size = outcome.f_size;
-  outcome.min_size = SIZE_MAX;
-  for (std::size_t h = 0; h < heuristics.size(); ++h) {
-    if (opts.job_timeout_seconds > 0.0 &&
-        std::chrono::duration<double>(Clock::now() - job_start).count() >=
-            opts.job_timeout_seconds) {
-      // Preserve a resource-limit verdict from an earlier heuristic.
-      if (outcome.status == JobStatus::kOk) outcome.status = JobStatus::kTimeout;
-      break;
-    }
-    // A warm job must not flush: garbage_collect() clears the computed
-    // cache, which is exactly the state warm reuse exists to keep.  The
-    // soft-quota flush can't arise warm (quotas force the cold path).
-    if (!warm || mgr.governor().soft_exceeded()) {
-      mgr.garbage_collect();
-    }
-    const auto start = Clock::now();
-    // `best` is only read back on the exception edge; pin it so the abort
-    // handler sees the stored value (see pin_for_unwind in governor.hpp).
-    // bddmin-lint: allow(R4) -- best always aliases spec.f or a cover, both pinned (f_pin / covers)
-    pin_for_unwind(best);
-    Edge g{};
-    telemetry::PhaseProfile profile;
-    auto stop = start;
-    {
-      // Collector scope: the manager's per-phase work from here through
-      // validation goes into `profile` (cover-build by default; matching
-      // and validation scopes switch the phase).  The `break`s below exit
-      // through this block, so a failed run is recorded too.
-      const telemetry::ProfileCollector collect(mgr, &profile);
-      try {
-        g = run_budgeted(mgr, heuristics[h], heuristic_budget(opts, job_start),
-                         spec.f, spec.c);
-      } catch (const ResourceExhausted& e) {
-        // Graceful degradation: keep the job alive on the best cover so far.
-        outcome.status = JobStatus::kResourceLimit;
-        if (!outcome.detail.empty()) outcome.detail += "; ";
-        outcome.detail += heuristics[h].name + ": " + limit_class_name(e.limit_class());
-        g = best;
-        const std::optional<minimize::Heuristic>& fallback =
-            opts.fallback_heuristic;
-        if (fallback && fallback->name != heuristics[h].name) {
-          try {
-            g = run_budgeted(mgr, *fallback,
-                             heuristic_budget(opts, job_start), spec.f, spec.c);
-            outcome.detail += " (retried on " + fallback->name + ")";
-          } catch (const ResourceExhausted& e2) {
-            outcome.detail += " (retry on " + fallback->name + ": " +
-                              limit_class_name(e2.limit_class()) + ")";
-            g = best;
-          } catch (const std::exception& e2) {
-            outcome.status = JobStatus::kError;
-            outcome.error = fallback->name + ": " + e2.what();
-            break;
-          }
-        }
-      } catch (const std::exception& e) {
-        outcome.status = JobStatus::kError;
-        outcome.error = heuristics[h].name + ": " + e.what();
-        break;
-      }
-      stop = Clock::now();
-      covers.emplace_back(mgr, g);
-      {
-        const telemetry::PhaseScope vphase(mgr, telemetry::Phase::kValidation);
-        if (opts.audit_level >= analysis::AuditLevel::kCover) {
-          analysis::AuditReport cover_report;
-          analysis::audit_cover(mgr, spec.f, spec.c, g, heuristics[h].name,
-                                cover_report);
-          if (!cover_report.ok()) {
-            outcome.status = JobStatus::kError;
-            outcome.error = cover_report.findings.front().message;
-            outcome.audit_findings += cover_report.findings.size();
-            break;
-          }
-        } else if (!minimize::is_cover(mgr, g, spec)) {
-          outcome.status = JobStatus::kError;
-          outcome.error = heuristics[h].name + " returned a non-cover";
-          break;
-        }
-      }
-    }
-    outcome.results[h].size = count_nodes(mgr, g);
-    outcome.results[h].seconds =
-        std::chrono::duration<double>(stop - start).count();
-    outcome.results[h].phases = profile;
-    outcome.min_size = std::min(outcome.min_size, outcome.results[h].size);
-    if (outcome.results[h].size < best_size) {
-      best = g;
-      best_size = outcome.results[h].size;
-    }
-  }
-  if (outcome.min_size == SIZE_MAX) outcome.min_size = 0;
-
-  // Audit the surviving manager for clean jobs *and* degraded ones — the
-  // whole point of the strong abort guarantee is that a budget trip leaves
-  // nothing for the auditor to find.
-  if ((outcome.status == JobStatus::kOk ||
-       outcome.status == JobStatus::kResourceLimit) &&
-      opts.audit_level >= analysis::AuditLevel::kStructural) {
-    analysis::AuditOptions aopts;
-    aopts.level = std::min(opts.audit_level, analysis::AuditLevel::kCache);
-    const analysis::AuditReport report = analysis::audit_manager(mgr, aopts);
-    if (!report.ok()) {
-      outcome.status = JobStatus::kError;
-      outcome.audit_findings += report.findings.size() + report.suppressed;
-      outcome.error = "audit: " + report.findings.front().message;
-    }
-  }
-  if (outcome.status == JobStatus::kOk && opts.lower_bound_cubes > 0) {
-    const minimize::LowerBoundResult lb = minimize::constrain_lower_bound(
-        mgr, spec.f, spec.c, opts.lower_bound_cubes);
-    outcome.lower_bound = lb.bound;
-  }
+  static_cast<harness::CallResult&>(outcome) =
+      harness::evaluate_call(mgr, spec, heuristics, call, &covers);
   outcome.peak_live = mgr.governor().peak_live_nodes();
   outcome.counters = mgr.telemetry() - counter_base;
   outcome.seconds =
@@ -587,6 +437,13 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
                             effective.step_limit == 0 &&
                             effective.audit_level < analysis::AuditLevel::kStructural;
 
+  harness::CallOptions call;
+  call.node_limit = effective.node_limit;
+  call.step_limit = effective.step_limit;
+  if (effective.fallback_heuristic) call.fallback = &*effective.fallback_heuristic;
+  call.audit_level = effective.audit_level;
+  call.lower_bound_cubes = effective.lower_bound_cubes;
+
   WorkStealingQueue queue(threads);
   for (std::size_t s = 0; s < plan.size(); ++s) {
     queue.push(s % threads, s);
@@ -644,7 +501,7 @@ BatchReport run_batch(std::span<const Job> jobs, const EngineOptions& opts) {
       pool.emplace_back([&, w] {
         const WorkerContext ctx{&effective, &heuristics, w,
                                 journal.get(), &wstats[w], &to_run,
-                                &plan,      warm_capable};
+                                &plan,      warm_capable, call};
         worker_loop(queue, jobs, sink, ctx);
       });
     }

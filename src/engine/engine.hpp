@@ -42,6 +42,15 @@
 /// pure function of the submission stream — but deliberately differs
 /// between sharded and unsharded runs.
 ///
+/// Per job, the engine keeps what is batch-specific — cancellation,
+/// acquiring/resetting the pooled manager or reusing it warm, decoding,
+/// the per-job counters and `peak_live` — and hands the call itself to
+/// harness::evaluate_call (harness/intercept.hpp), the one Section 4.1
+/// loop the Interceptor and `bddmin_cli minimize` run too: flush (cold
+/// managers only), run under the budget, time, pin and validate against
+/// Definition 2, audit after every heuristic, count, take the min, and
+/// for an ok job the opt-in Theorem 7 bound.
+///
 /// Resource governance: each heuristic runs under the worker manager's
 /// ResourceGovernor (node quota, step budget, in-operation deadline).  A
 /// budget trip aborts only that heuristic — the manager stays consistent
@@ -73,29 +82,23 @@
 
 #include "analysis/audit.hpp"
 #include "engine/job.hpp"
+#include "harness/intercept.hpp"
 #include "minimize/registry.hpp"
 #include "telemetry/counters.hpp"
 #include "telemetry/histogram.hpp"
-#include "telemetry/profile.hpp"
 
 namespace bddmin::engine {
 
 struct JournalContents;  // engine/journal.hpp
 
-enum class JobStatus : std::uint8_t {
-  kOk = 0,         ///< all heuristics ran and validated
-  kTimeout,        ///< per-job deadline expired between heuristics
-  kCancelled,      ///< batch cancellation observed before the job started
-  kError,          ///< decode failure, thrown BDDMIN_CHECK, bad cover or audit finding
-  kResourceLimit,  ///< a heuristic exhausted its budget; the job degraded to
-                   ///< a still-valid fallback cover (see JobOutcome::detail)
-};
+/// A job's status is its call's (kError also covers a decode failure).
+using JobStatus = harness::CallStatus;
 
 [[nodiscard]] const char* job_status_name(JobStatus s) noexcept;
 
-/// Every job follows Section 4.1's method: a cold manager flushes its
-/// caches (garbage_collect) before each heuristic, and every cover is
-/// checked against Definition 2.  Neither is optional.
+/// Every job follows Section 4.1's method (harness::evaluate_call): a cold
+/// manager flushes its caches (garbage_collect) before each heuristic, and
+/// every cover is checked against Definition 2.  Neither is optional.
 struct EngineOptions {
   /// Worker count; 0 means std::thread::hardware_concurrency() (min 1).
   unsigned num_threads = 0;
@@ -110,9 +113,7 @@ struct EngineOptions {
   /// enforced while a heuristic runs; tripping it aborts the heuristic with
   /// bddmin::NodeLimit and degrades the job to its fallback cover.  0 means
   /// unlimited; when 0, the BDDMIN_NODE_LIMIT environment variable (if set)
-  /// supplies a fleet-wide default.  A soft quota at 3/4 of the hard one
-  /// triggers a garbage collection between heuristics even on a warm
-  /// manager.
+  /// supplies a fleet-wide default.
   std::size_t node_limit = 0;
   /// Recursion-step budget per heuristic run (memoization misses across
   /// ITE/cofactor/quantification and the minimization traversals); a
@@ -124,7 +125,7 @@ struct EngineOptions {
   /// osm_td).  Unset disables the retry; the job then keeps the best
   /// previously validated cover (or the trivial cover f).
   std::optional<minimize::Heuristic> fallback_heuristic;
-  /// BddAudit depth after each job (1-3 audit the worker's manager;
+  /// BddAudit depth after each heuristic (1-3 audit the worker's manager;
   /// level 4 additionally replaces the plain cover check with the
   /// witness-reporting contract audit).  Findings turn the job kError.
   analysis::AuditLevel audit_level = analysis::AuditLevel::kOff;
@@ -179,32 +180,14 @@ struct EngineOptions {
   bool progress = false;
 };
 
-struct HeuristicResult {
-  std::size_t size = 0;   ///< cover node count incl. terminal (0 = not run)
-  double seconds = 0.0;   ///< wall time; non-deterministic
-  /// Per-phase counter deltas (matching / cover-build / validation) of
-  /// the run and its validation.  Deterministic: each job runs in a fresh
-  /// manager.
-  telemetry::PhaseProfile phases;
-};
+using harness::HeuristicResult;
 
-struct JobOutcome {
+/// One job's call result (status, sizes, per-heuristic results, bound,
+/// audit findings; see harness::CallResult) plus what only the batch
+/// knows about it.
+struct JobOutcome : harness::CallResult {
   std::string name;
   unsigned num_vars = 0;
-  JobStatus status = JobStatus::kOk;
-  std::string error;                     ///< diagnostic for kError only
-  /// Resource-limit trail for kResourceLimit: which heuristic tripped which
-  /// limit class and what the degradation did, e.g.
-  /// "osm_td: step-limit (retried on restr)".  Deterministic for the
-  /// node/step limit classes.
-  std::string detail;
-  std::size_t f_size = 0;
-  std::size_t c_size = 0;
-  double c_onset = 0.0;                  ///< care onset fraction in [0, 1]
-  std::vector<HeuristicResult> results;  ///< parallel to BatchReport::names
-  std::size_t min_size = 0;              ///< best over heuristics that ran
-  std::size_t lower_bound = 0;           ///< Theorem 7 bound (opt-in)
-  std::size_t audit_findings = 0;
   /// Peak live-node count of the worker manager over the whole job — the
   /// memory high-water mark.  Deterministic across thread counts, but
   /// sensitive to the shard mode (a warm computed cache builds fewer

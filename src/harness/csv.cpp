@@ -16,8 +16,8 @@ std::string records_to_csv(const std::vector<std::string>& names,
     const CallRecord& r = records[i];
     os << i << ',' << r.f_size << ',' << r.c_onset << ',' << r.lower_bound
        << ',' << r.min_size;
-    for (const HeuristicOutcome& o : r.outcomes) os << ',' << o.size;
-    for (const HeuristicOutcome& o : r.outcomes) os << ',' << o.seconds;
+    for (const HeuristicResult& o : r.outcomes) os << ',' << o.size;
+    for (const HeuristicResult& o : r.outcomes) os << ',' << o.seconds;
     os << "\n";
   }
   return os.str();

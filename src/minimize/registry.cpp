@@ -55,22 +55,19 @@ Heuristic with_fallback(Heuristic inner) {
   return wrapped;
 }
 
-Heuristic with_budget(Heuristic inner, ResourceLimits limits) {
-  Heuristic wrapped;
-  wrapped.name = inner.name;
-  wrapped.run = [inner = std::move(inner), limits](Manager& m, Edge f, Edge c) {
-    const ResourceLimits saved = m.governor().limits();
-    m.governor().set_limits(limits);
-    try {
-      const Edge g = inner.run(m, f, c);
-      m.governor().set_limits(saved);
-      return g;
-    } catch (...) {
-      m.governor().set_limits(saved);
-      throw;
-    }
-  };
-  return wrapped;
+Edge run_budgeted(Manager& mgr, const Heuristic& h,
+                  const ResourceLimits& limits, Edge f, Edge c) {
+  const ResourceLimits saved = mgr.governor().limits();
+  mgr.governor().set_limits(limits);
+  try {
+    const Edge g = h.run(mgr, f, c);
+    mgr.governor().set_limits(saved);
+    return g;
+  } catch (...) {
+    mgr.governor().set_limits(saved);
+    mgr.garbage_collect();  // partial results are dead nodes; reclaim now
+    throw;
+  }
 }
 
 const Heuristic& heuristic_by_name(const std::vector<Heuristic>& set,

@@ -44,13 +44,16 @@ struct Heuristic {
 /// smaller of the two".  This wraps any heuristic that way.
 [[nodiscard]] Heuristic with_fallback(Heuristic inner);
 
-/// Scope a resource budget (bdd/governor.hpp) around \p inner: the limits
-/// are installed on the manager for the duration of the call and the
-/// previous limits restored afterwards — also when the budget trips and the
-/// ResourceExhausted exception propagates to the caller.  Restoring restarts
-/// the saved deadline's clock, so treat nested deadlines as per-stage
-/// budgets rather than absolute points in time.
-[[nodiscard]] Heuristic with_budget(Heuristic inner, ResourceLimits limits);
+/// Run \p h on [f, c] under \p limits (bdd/governor.hpp): the limits are
+/// installed on the manager for the run and the previous limits restored
+/// on both exits.  A throw — a budget trip (ResourceExhausted) or any
+/// other — first reclaims the aborted run's partial results, which are
+/// dead nodes, with a garbage collection and then propagates; pin every
+/// edge the caller still needs (f and c included) before calling.
+/// Restoring restarts the saved deadline's clock, so treat nested
+/// deadlines as per-stage budgets rather than absolute points in time.
+[[nodiscard]] Edge run_budgeted(Manager& mgr, const Heuristic& h,
+                                const ResourceLimits& limits, Edge f, Edge c);
 
 /// Look a heuristic up by name in \p set; throws std::out_of_range.
 [[nodiscard]] const Heuristic& heuristic_by_name(

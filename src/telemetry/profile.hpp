@@ -7,17 +7,17 @@
 /// RAII markers inside the minimizers switch it: the matching criteria
 /// (minimize/matching.cpp, the fmm_* passes of level.cpp) report
 /// kMatching, result construction is the default kCoverBuild, and the
-/// engine wraps its cover checks in kValidation.  A ProfileCollector
-/// reads the rows when it is built and when it is destroyed, and adds the
-/// difference to a PhaseProfile; the engine installs one per heuristic
-/// run.
+/// per-call evaluator (harness::evaluate_call) wraps its cover checks in
+/// kValidation.  A ProfileCollector reads the rows when it is built and
+/// when it is destroyed, and adds the difference to a PhaseProfile; the
+/// evaluator installs one per heuristic run.
 ///
 /// Attribution is exclusive: entering a nested phase stops the outer
 /// one's row until the scope closes.  A profile is a split of work, not
 /// of time — it counts memoization misses, cache traffic and inserts,
 /// which depend only on the operation sequence, so it is exact and
 /// deterministic.  Wall time is measured per heuristic run
-/// (engine::HeuristicResult::seconds), never per phase.
+/// (harness::HeuristicResult::seconds), never per phase.
 ///
 /// Cost: a PhaseScope stores the row pointer and the governor's step
 /// slot on entry and again on exit, with or without a collector.  It

@@ -80,14 +80,16 @@ TEST(Cube, VisitorCanAbort) {
   EXPECT_EQ(seen, 2u);
 }
 
-TEST(Cube, CollectCubesImpliesFunction) {
+TEST(Cube, EveryCubeImpliesFunction) {
   Manager mgr(4);
   std::mt19937_64 rng(11);
   const Edge f = from_tt(mgr, rng() & tt_mask(4), 4);
-  for (const Edge cube : collect_cubes(mgr, f, 0)) {
+  for_each_cube(mgr, f, 4, 0, [&](const CubeVec& positional) {
+    const Edge cube = cube_to_edge(mgr, positional);
     EXPECT_TRUE(mgr.leq(cube, f));
     EXPECT_TRUE(is_cube(mgr, cube));
-  }
+    return true;
+  });
 }
 
 TEST(Cube, LargestCubeHasMinimalLiteralCount) {

@@ -5,24 +5,28 @@
 /// counts, the bucket sizes, every heuristic's cumulative node total in
 /// the all / <5 % / >95 % columns and the min / lower-bound ratio against
 /// the values recorded in EXPERIMENTS.md, plus the Table 4 `min` row
-/// computed from the same records.  It also reruns bench_table2's
-/// sibling-matcher loop and pins the Table 2 identities.  A refactor of
-/// the heuristics, the BDD kernels or the FSM substrate that moves any of
-/// them fails here.
+/// computed from the same records, and every kept call's sizes and bound
+/// against the committed bench_table3_records.csv.  It also reruns
+/// bench_table2's sibling-matcher loop and pins the Table 2 identities.  A
+/// refactor of the heuristics, the BDD kernels, the FSM substrate or the
+/// per-call evaluator that moves any of them fails here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iterator>
 #include <random>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bdd/truth_table.hpp"
 #include "experiment_common.hpp"
+#include "harness/csv.hpp"
 #include "harness/stats.hpp"
 #include "minimize/registry.hpp"
 #include "minimize/sibling.hpp"
@@ -111,6 +115,37 @@ TEST(Golden, Table3CallStreamMatchesExperimentsMd) {
     const std::size_t j = index_of(h2h.names, name);
     ASSERT_LT(j, h2h.names.size()) << name;
     EXPECT_EQ(fixed(h2h.pct_smaller[min_row][j], 1), pct) << name;
+  }
+
+  // Every kept call, not only the totals: the records' columns call ..
+  // size_f_or_nc (f_size, c_onset, lower_bound, min and each heuristic's
+  // size; the seconds columns are timings) against the committed
+  // bench_table3_records.csv, so a drifted evaluator fails on the exact
+  // call where it differs.
+  const std::size_t pinned_columns = 5 + names.size();
+  const auto pinned_rows = [pinned_columns](const std::string& csv) {
+    std::vector<std::string> rows;
+    std::istringstream in(csv);
+    std::string line;
+    while (std::getline(in, line)) {
+      std::size_t end = 0;
+      for (std::size_t k = 0; k < pinned_columns; ++k) {
+        end = line.find(',', end + (k > 0 ? 1 : 0));
+      }
+      rows.push_back(line.substr(0, end));
+    }
+    return rows;
+  };
+  std::ifstream committed(BDDMIN_REPO_ROOT "/bench_table3_records.csv");
+  ASSERT_TRUE(committed.good());
+  std::stringstream text;
+  text << committed.rdbuf();
+  const std::vector<std::string> want = pinned_rows(text.str());
+  const std::vector<std::string> got = pinned_rows(
+      harness::records_to_csv(names, interceptor.records()));
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "records row " << i;
   }
 }
 

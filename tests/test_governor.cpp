@@ -134,20 +134,6 @@ TEST(Governor, ExpiredDeadlineTripsOnFirstStep) {
   EXPECT_EQ(mgr.and_(mgr.var_edge(0), kOne), mgr.var_edge(0));
 }
 
-TEST(Governor, SoftQuotaRaisesStickyFlagWithoutThrowing) {
-  Manager mgr(6);
-  ResourceLimits lim;
-  lim.soft_node_limit = mgr.allocated_nodes() + 4;
-  mgr.governor().set_limits(lim);
-  Edge g{};
-  EXPECT_NO_THROW(g = busy_build(mgr));
-  EXPECT_TRUE(mgr.governor().soft_exceeded());
-  // The flag is sticky until the next set_limits/clear, then gone.
-  mgr.governor().set_limits(lim);
-  EXPECT_FALSE(mgr.governor().soft_exceeded());
-  (void)g;
-}
-
 TEST(Governor, PeakLiveNodeTrackingSurvivesGc) {
   Manager mgr(6);
   std::size_t peak_seen = 0;
@@ -162,24 +148,33 @@ TEST(Governor, PeakLiveNodeTrackingSurvivesGc) {
   EXPECT_EQ(mgr.governor().peak_live_nodes(), peak_seen);
 }
 
-TEST(Governor, WithBudgetRestoresOuterLimits) {
+TEST(Governor, RunBudgetedRestoresOuterLimits) {
   Manager mgr(6);
-  const Edge f = busy_build(mgr);
-  const Edge c = mgr.var_edge(2);
+  // Pinned: the trip's recovery garbage-collects.
+  const Bdd f(mgr, busy_build(mgr));
+  const Bdd c(mgr, mgr.var_edge(2));
 
   ResourceLimits outer;
   outer.hard_node_limit = std::size_t{1} << 20;
   mgr.governor().set_limits(outer);
 
+  const minimize::Heuristic osm =
+      minimize::heuristic_by_name(minimize::all_heuristics(), "osm_td");
   ResourceLimits inner;
   inner.step_limit = 1;
-  const minimize::Heuristic budgeted = minimize::with_budget(
-      minimize::heuristic_by_name(minimize::all_heuristics(), "osm_td"),
-      inner);
-  EXPECT_THROW((void)budgeted.run(mgr, f, c), StepLimit);
-  // The wrapper restored the outer scope's limits on the throw path.
+  EXPECT_THROW((void)minimize::run_budgeted(mgr, osm, inner, f.edge(), c.edge()),
+               StepLimit);
+  // The outer scope's limits are back on the throw path, and the trip's
+  // partial results were reclaimed.
   EXPECT_EQ(mgr.governor().limits().hard_node_limit, outer.hard_node_limit);
   EXPECT_EQ(mgr.governor().limits().step_limit, 0u);
+  EXPECT_EQ(mgr.dead_nodes(), 0u);
+
+  // ... and on the normal path.
+  inner.step_limit = 0;
+  const Edge g = minimize::run_budgeted(mgr, osm, inner, f.edge(), c.edge());
+  EXPECT_TRUE(minimize::is_cover(mgr, g, {f.edge(), c.edge()}));
+  EXPECT_EQ(mgr.governor().limits().hard_node_limit, outer.hard_node_limit);
 }
 
 // ---- Batch engine degradation -------------------------------------------

@@ -7,8 +7,11 @@
 #include <fstream>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 
 #include "bdd/truth_table.hpp"
+#include "engine/engine.hpp"
+#include "engine/job.hpp"
 #include "harness/csv.hpp"
 #include "harness/render.hpp"
 #include "harness/stats.hpp"
@@ -45,7 +48,7 @@ TEST(Interceptor, RecordsOneEntryPerUnfilteredCall) {
     EXPECT_GT(r.f_size, 0u);
     EXPECT_GT(r.min_size, 0u);
     EXPECT_LE(r.lower_bound, r.min_size);
-    for (const HeuristicOutcome& o : r.outcomes) {
+    for (const HeuristicResult& o : r.outcomes) {
       EXPECT_GE(o.size, r.min_size);
     }
   }
@@ -76,12 +79,45 @@ TEST(Interceptor, HookReturnsConstrainResult) {
   EXPECT_EQ(returned, minimize::constrain(mgr, f, c));
 }
 
+TEST(Interceptor, NonCoverFailsWithTheEngineMessage) {
+  // One error contract: a heuristic returning !f makes the Interceptor
+  // throw std::logic_error and the batch engine report kError, with the
+  // same message.
+  const minimize::Heuristic negate{
+      "negate", [](Manager&, Edge f, Edge) { return !f; }};
+  Manager mgr(3);
+  const Bdd f(mgr, mgr.xor_(mgr.var_edge(0), mgr.var_edge(1)));
+  const Bdd c(mgr, mgr.or_(mgr.var_edge(0), mgr.var_edge(2)));
+  const minimize::IncSpec spec{f.edge(), c.edge()};
+  ASSERT_FALSE(minimize::classify_call(mgr, spec).filtered());
+
+  Interceptor interceptor({negate}, {});
+  std::string thrown;
+  try {
+    (void)interceptor.hook()(mgr, spec.f, spec.c);
+  } catch (const std::logic_error& e) {
+    thrown = e.what();
+  }
+  EXPECT_EQ(thrown, "negate returned a non-cover");
+  EXPECT_TRUE(interceptor.records().empty());
+
+  engine::EngineOptions opts;
+  opts.num_threads = 1;
+  opts.heuristics = {negate};
+  const engine::Job job = engine::make_job(mgr, "negate", spec);
+  const engine::BatchReport report =
+      engine::run_batch(std::span<const engine::Job>(&job, 1), opts);
+  ASSERT_EQ(report.outcomes.size(), 1u);
+  EXPECT_EQ(report.outcomes[0].status, engine::JobStatus::kError);
+  EXPECT_EQ(report.outcomes[0].error, thrown);
+}
+
 TEST(Interceptor, MinIsTheBestOutcome) {
   Interceptor interceptor(minimize::all_heuristics(), {});
   const auto records = run_instances(interceptor, 8, 8, 0.3, 9);
   for (const CallRecord& r : records) {
     std::size_t best = SIZE_MAX;
-    for (const HeuristicOutcome& o : r.outcomes) best = std::min(best, o.size);
+    for (const HeuristicResult& o : r.outcomes) best = std::min(best, o.size);
     EXPECT_EQ(best, r.min_size);
   }
 }
@@ -116,7 +152,9 @@ TEST(Stats, EmptyMidBucketRendersWithoutNans) {
     CallRecord r;
     r.f_size = 10;
     r.c_onset = onset;
-    r.outcomes = {{4, 0.0}, {6, 0.0}};
+    r.outcomes.resize(2);
+    r.outcomes[0].size = 4;
+    r.outcomes[1].size = 6;
     r.min_size = 4;
     r.lower_bound = 2;
     records.push_back(r);

@@ -495,6 +495,63 @@ TEST(Cli, UnknownFlagIsAUsageError) {
   std::remove(err.c_str());
 }
 
+TEST(Cli, MinimizePrintsOneRowPerOutput) {
+  const std::string cli = BDDMIN_CLI_PATH;
+  const std::string out = temp_path("minimize.out");
+  ASSERT_EQ(run_cli(cli + " minimize " BDDMIN_REPO_ROOT "/data/sevenseg.pla > " +
+                    out),
+            0);
+  std::istringstream lines(read_file(out));
+  std::string line;
+  std::getline(lines, line);
+  EXPECT_NE(line.find("7 outputs"), std::string::npos) << line;
+  std::getline(lines, line);
+  EXPECT_EQ(line.rfind("output", 0), 0u) << line;
+  std::size_t rows = 0;
+  while (std::getline(lines, line) && line.rfind("forest", 0) != 0) {
+    EXPECT_EQ(line.find('*'), std::string::npos) << line;
+    ++rows;
+  }
+  EXPECT_EQ(rows, 7u);
+  EXPECT_EQ(line.rfind("forest", 0), 0u) << line;
+  std::remove(out.c_str());
+}
+
+TEST(Cli, MinimizeUnderATinyNodeLimitMarksTrippedCells) {
+  const std::string cli = BDDMIN_CLI_PATH;
+  const std::string out = temp_path("minimize_limit.out");
+  ASSERT_EQ(run_cli(cli + " minimize " BDDMIN_REPO_ROOT
+                          "/data/sevenseg.pla --node-limit 10 > " + out),
+            0);
+  const std::string text = read_file(out);
+  std::istringstream lines(text);
+  std::string line;
+  std::size_t starred_rows = 0;
+  while (std::getline(lines, line)) {
+    starred_rows += line.find('*') != std::string::npos &&
+                    line.rfind("* ", 0) != 0;
+  }
+  EXPECT_GT(starred_rows, 0u) << text;
+  EXPECT_NE(text.find("kept the best validated cover so far"),
+            std::string::npos)
+      << text;
+  std::remove(out.c_str());
+}
+
+TEST(Cli, AuditUnderATinyNodeLimitStaysClean) {
+  // Every trip garbage-collects; the outputs not yet minimized must
+  // survive it, and the audit must find the manager clean.
+  const std::string cli = BDDMIN_CLI_PATH;
+  const std::string out = temp_path("audit_limit.out");
+  ASSERT_EQ(run_cli(cli + " audit " BDDMIN_REPO_ROOT
+                          "/data/sevenseg.pla --node-limit 1 > " + out),
+            0);
+  const std::string text = read_file(out);
+  EXPECT_NE(text.find("resource trips: "), std::string::npos) << text;
+  EXPECT_NE(text.find("audit: clean"), std::string::npos) << text;
+  std::remove(out.c_str());
+}
+
 #endif  // BDDMIN_CLI_PATH
 
 }  // namespace

@@ -221,8 +221,8 @@ TEST(Profile, StepLimitTripInsideMatchingLeavesCoverBuild) {
     const auto base = phase_steps(mgr);
     ResourceLimits limits;
     limits.step_limit = limit;
-    const minimize::Heuristic budgeted = minimize::with_budget(osm, limits);
-    ASSERT_THROW((void)budgeted.run(mgr, spec.f, spec.c), ResourceExhausted)
+    ASSERT_THROW((void)minimize::run_budgeted(mgr, osm, limits, spec.f, spec.c),
+                 ResourceExhausted)
         << "limit " << limit;
     EXPECT_EQ(mgr.phase(), Phase::kCoverBuild) << "limit " << limit;
     auto steps = phase_steps(mgr);

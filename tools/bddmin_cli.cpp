@@ -4,10 +4,12 @@
 /// ```
 /// bddmin_cli minimize <circuit.pla> [--heuristic NAME] [--sift]
 ///                     [--node-limit N]
-///     Minimize every output of an espresso PLA; prints per-output and
-///     forest node counts for the chosen heuristic (default: all).
-///     --node-limit bounds the manager's allocated nodes while each
-///     heuristic runs; a tripped run degrades to the trivial cover f and
+///     Minimize every output of an espresso PLA with Section 4.1's
+///     per-call method (flush, run, validate as a cover); prints
+///     per-output and forest node counts for the chosen heuristic
+///     (default: all).  --node-limit bounds the manager's allocated nodes
+///     while each heuristic runs; a tripped run keeps the best validated
+///     cover so far for that output (the trivial cover f if none), and
 ///     its size is marked with '*'.
 ///
 /// bddmin_cli equiv <a.kiss> <b.kiss> [--stats]
@@ -265,26 +267,13 @@ double fraction_flag(int argc, char** argv, const char* flag, double fallback) {
   return value;
 }
 
-/// Run \p h under a hard node quota; a trip degrades to the trivial cover
-/// f and reclaims the aborted partial results.  Pin f and c before calling
-/// when the limit is active — the recovery garbage-collects.
-Edge run_limited(Manager& mgr, const minimize::Heuristic& h,
-                 const ResourceLimits& budget, Edge f, Edge c,
-                 bool* tripped) {
-  mgr.governor().set_limits(budget);
-  pin_for_unwind(f);  // the catch handler reads f back after unwinding
-  Edge g;
-  try {
-    g = h.run(mgr, f, c);
-  } catch (const ResourceExhausted&) {
-    *tripped = true;
-    g = f;
-    mgr.governor().clear();
-    mgr.garbage_collect();
-  }
-  mgr.governor().clear();
-  // bddmin-lint: allow(R4) -- on the GC path g aliases f, pinned above via pin_for_unwind
-  return g;
+/// Whether the trail \p detail (harness::CallResult::detail) records a
+/// budget trip of heuristic \p name: an entry "name: class" that opens the
+/// trail or follows "; ".
+bool tripped(const std::string& detail, const std::string& name) {
+  const std::string entry = name + ": ";
+  return detail.rfind(entry, 0) == 0 ||
+         detail.find("; " + entry) != std::string::npos;
 }
 
 int cmd_minimize(int argc, char** argv) {
@@ -299,11 +288,10 @@ int cmd_minimize(int argc, char** argv) {
   if (const char* name = flag_value(argc, argv, "--heuristic")) {
     set = {minimize::heuristic_by_name(set, name)};
   }
-  ResourceLimits budget;
-  budget.hard_node_limit =
-      uint_flag<std::size_t>(argc, argv, "--node-limit", 0);
-  // Pin the specs: recovering from a quota trip garbage-collects, and the
-  // f/c edges must survive it.
+  harness::CallOptions call;
+  call.node_limit = uint_flag<std::size_t>(argc, argv, "--node-limit", 0);
+  // Pin the specs: every call flushes before each heuristic, and the later
+  // outputs' f/c edges must survive it.
   std::vector<Bdd> spec_pins;
   for (const auto& spec : specs) {
     spec_pins.emplace_back(mgr, spec.f);
@@ -320,19 +308,25 @@ int cmd_minimize(int argc, char** argv) {
     const std::string label = j < circuit.output_labels.size()
                                   ? circuit.output_labels[j]
                                   : "o" + std::to_string(j);
+    std::vector<Bdd> call_covers;
+    const harness::CallResult result =
+        harness::evaluate_call(mgr, specs[j], set, call, &call_covers);
+    if (result.status == harness::CallStatus::kError) {
+      throw std::runtime_error(label + ": " + result.error);
+    }
     std::printf("%-10s", label.c_str());
     for (std::size_t h = 0; h < set.size(); ++h) {
-      bool tripped = false;
-      const Edge g =
-          run_limited(mgr, set[h], budget, specs[j].f, specs[j].c, &tripped);
-      trips += tripped ? 1 : 0;
-      covers[h].emplace_back(mgr, g);
-      std::printf(tripped ? " %7zu*" : " %8zu", covers[h].back().size());
+      const bool trip = tripped(result.detail, set[h].name);
+      trips += trip ? 1 : 0;
+      std::printf(trip ? " %7zu*" : " %8zu", result.results[h].size);
+      covers[h].push_back(std::move(call_covers[h]));
     }
     std::printf("\n");
   }
   if (trips > 0) {
-    std::printf("* %zu run(s) hit the node limit and degraded to f\n", trips);
+    std::printf("* %zu run(s) hit the node limit and kept the best validated "
+                "cover so far\n",
+                trips);
   }
   std::printf("%-10s", "forest");
   for (std::size_t h = 0; h < set.size(); ++h) {
@@ -443,16 +437,24 @@ int cmd_audit(int argc, char** argv) {
   ResourceLimits budget;
   budget.hard_node_limit =
       uint_flag<std::size_t>(argc, argv, "--node-limit", 0);
+  // Pin every spec before the first run: recovering from a quota trip
+  // garbage-collects, and the later outputs' f/c edges must survive it.
   std::vector<Bdd> pinned;
-  std::size_t trips = 0;
   for (const auto& spec : specs) {
     pinned.emplace_back(mgr, spec.f);
     pinned.emplace_back(mgr, spec.c);
+  }
+  std::size_t trips = 0;
+  for (const auto& spec : specs) {
     for (const auto& h : set) {
-      bool tripped = false;
-      pinned.emplace_back(
-          mgr, run_limited(mgr, h, budget, spec.f, spec.c, &tripped));
-      trips += tripped ? 1 : 0;
+      Edge g{};
+      try {
+        g = minimize::run_budgeted(mgr, h, budget, spec.f, spec.c);
+      } catch (const ResourceExhausted&) {
+        ++trips;
+        g = spec.f;  // the trivial cover; pinned above
+      }
+      pinned.emplace_back(mgr, g);
     }
   }
   if (trips > 0) {
