@@ -60,6 +60,11 @@ struct ManagerAccess {
     return m.cache_epoch_;
   }
 
+  /// The pair memo's walk epoch (tests drive it to the wrap).
+  static std::uint32_t& pair_scratch_epoch(Manager& m) noexcept {
+    return m.pair_scratch_.epoch_;
+  }
+
   static std::size_t live_count(const Manager& m) noexcept { return m.live_count_; }
   static std::size_t dead_count(const Manager& m) noexcept { return m.dead_count_; }
   static std::size_t& live_count(Manager& m) noexcept { return m.live_count_; }

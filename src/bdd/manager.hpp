@@ -35,6 +35,7 @@
 #include "bdd/edge.hpp"
 #include "bdd/governor.hpp"
 #include "bdd/node.hpp"
+#include "bdd/pair_scratch.hpp"
 #include "telemetry/counters.hpp"
 
 namespace bddmin {
@@ -130,7 +131,8 @@ class BDDMIN_CAPABILITY("Manager") Manager {
   /// engine's determinism contract relies on this).  Telemetry counters
   /// (every phase row), the governor's step/peak-live trackers and
   /// gc_runs() restart at zero, and the phase returns to kCoverBuild.
-  /// All previously issued Edges are invalidated.
+  /// The traversal scratch tables keep their capacity.  All previously
+  /// issued Edges are invalidated.
   void reset(unsigned num_vars);
 
   // ---- Variables and levels --------------------------------------------
@@ -345,6 +347,13 @@ class BDDMIN_CAPABILITY("Manager") Manager {
   [[nodiscard]] VisitScratch& visit_scratch() const noexcept {
     return visit_scratch_;
   }
+  /// Epoch-stamped pair memo shared by the minimization walks (the sibling
+  /// traversal, opt_lv's collect and substitute, the Theorem 7 bound).
+  /// Mutable like visit_scratch(); one walk at a time (PairScratch::Walk
+  /// guards it).  reset() keeps its capacity, so a pooled manager reuses it.
+  [[nodiscard]] PairScratch& pair_scratch() const noexcept {
+    return pair_scratch_;
+  }
 
   // ---- Introspection for debugging --------------------------------------
   [[nodiscard]] const Node& node_at(std::uint32_t index) const { return nodes_[index]; }
@@ -444,6 +453,7 @@ class BDDMIN_CAPABILITY("Manager") Manager {
   // observation, not logical state — a const Manager still meters.
   mutable telemetry::CounterBank counters_;
   mutable VisitScratch visit_scratch_;
+  mutable PairScratch pair_scratch_;
   /// signature() memo, indexed by node slot: live iff its epoch matches
   /// cache_epoch_.  Mutable like the cache: memoization is not logical state.
   struct SignatureSlot {

@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 
 #include "bdd/manager.hpp"
 
@@ -21,13 +20,15 @@ struct IncSpec {
   friend constexpr bool operator==(IncSpec, IncSpec) noexcept = default;
 };
 
-/// Key of an (f, c) edge pair in the per-call memos of the traversals.
+/// Key of an (f, c) edge pair in the walks' memo (Manager::pair_scratch),
+/// and how a walk stores the [f', c'] it built for that pair.
 [[nodiscard]] constexpr std::uint64_t pair_key(Edge f, Edge c) noexcept {
   return (std::uint64_t{f.bits} << 32) | c.bits;
 }
-
-/// (f, c) pair -> the [f', c'] a traversal built for it.
-using PairMemo = std::unordered_map<std::uint64_t, IncSpec>;
+[[nodiscard]] constexpr IncSpec unpack_pair(std::uint64_t key) noexcept {
+  return {Edge{static_cast<std::uint32_t>(key >> 32)},
+          Edge{static_cast<std::uint32_t>(key)}};
+}
 
 /// Definition 2: g is a cover of [f,c] iff f·c <= g <= f + c̄, equivalently
 /// (g XOR f)·c == 0.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "analysis/check.hpp"
 #include "telemetry/profile.hpp"
@@ -16,7 +15,7 @@ struct Collector {
   std::size_t max_set_size;
   bool only_level_plus_one;
   CollectedLevel out;
-  std::unordered_set<std::uint64_t> visited;
+  PairScratch& visited;  ///< the Manager's pair table: (f, c) pairs walked
   /// canonical (f·c, c) -> vertex, so equal incompletely specified
   /// functions share one vertex (keeps the DMG acyclic).
   std::unordered_map<std::uint64_t, std::size_t> canonical_to_vertex;
@@ -24,7 +23,7 @@ struct Collector {
 
   void walk(Edge f, Edge c) {
     const std::uint64_t key = pair_key(f, c);
-    if (!visited.insert(key).second) return;
+    if (!visited.insert(key, 0)) return;
     const bool f_below = mgr.level_of(f) > level;  // constants are below all
     const bool c_below = mgr.level_of(c) > level;
     if (f_below && c_below) {
@@ -59,13 +58,9 @@ struct Collector {
 CollectedLevel collect_at_level(Manager& mgr, IncSpec spec, std::uint32_t level,
                                 std::size_t max_set_size,
                                 bool only_level_plus_one) {
-  Collector collector{mgr,
-                      level,
-                      max_set_size,
-                      only_level_plus_one,
-                      {},
-                      {},
-                      {},
+  const PairScratch::Walk walk = mgr.pair_scratch().begin();
+  Collector collector{mgr, level, max_set_size, only_level_plus_one, {},
+                      mgr.pair_scratch(), {},
                       CubeVec(level + 1, kAbsentLiteral)};
   collector.walk(spec.f, spec.c);
   return std::move(collector.out);
@@ -209,7 +204,7 @@ struct Substituter {
   std::uint32_t level;
   const CollectedLevel& collected;
   std::span<const IncSpec> replacement;
-  PairMemo memo;
+  PairScratch& memo;  ///< the Manager's pair table: (f, c) -> [f', c']
 
   IncSpec rebuild(Edge f, Edge c) {
     const std::uint64_t key = pair_key(f, c);
@@ -218,7 +213,7 @@ struct Substituter {
       return it != collected.pair_to_vertex.end() ? replacement[it->second]
                                                   : IncSpec{f, c};
     }
-    if (const auto it = memo.find(key); it != memo.end()) return it->second;
+    if (const std::uint64_t* hit = memo.find(key)) return unpack_pair(*hit);
     mgr.governor().charge_step();
     const std::uint32_t v = mgr.top_var(f, c);
     const auto [f_t, f_e] = mgr.branches(f, v);
@@ -226,7 +221,7 @@ struct Substituter {
     const IncSpec t = rebuild(f_t, c_t);
     const IncSpec e = rebuild(f_e, c_e);
     const IncSpec result{mgr.make_node(v, t.f, e.f), mgr.make_node(v, t.c, e.c)};
-    memo.emplace(key, result);
+    memo.insert(key, pair_key(result.f, result.c));
     return result;
   }
 };
@@ -238,7 +233,8 @@ IncSpec substitute_at_level(Manager& mgr, IncSpec spec, std::uint32_t level,
                             std::span<const IncSpec> replacement) {
   BDDMIN_CHECK(replacement.size() == collected.specs.size());
   const telemetry::PhaseScope phase(mgr, telemetry::Phase::kCoverBuild);
-  Substituter sub{mgr, level, collected, replacement, {}};
+  const PairScratch::Walk walk = mgr.pair_scratch().begin();
+  Substituter sub{mgr, level, collected, replacement, mgr.pair_scratch()};
   return sub.rebuild(spec.f, spec.c);
 }
 

@@ -1,7 +1,6 @@
 #include "minimize/lower_bound.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "bdd/cube.hpp"
 #include "bdd/ops.hpp"
@@ -17,14 +16,15 @@ namespace {
 /// at each 1-path the carried cofactor is that cube's bound.
 struct PrefixWalk {
   Manager& mgr;
+  /// Nodes already counted, in the Manager's pair table (not the visit
+  /// scratch, which count_nodes uses): many cubes give the same cofactor.
+  PairScratch& counted;
   std::size_t max_cubes;  // 0 = unlimited
   std::size_t visited = 0;
   std::size_t bound = 0;
-  /// Regular edges already counted: many cubes give the same cofactor.
-  std::unordered_set<std::uint32_t> counted{};
 
   void bound_by(Edge g) {
-    if (counted.insert(g.index()).second) {
+    if (counted.insert(g.index(), 0)) {
       bound = std::max(bound, count_nodes(mgr, g));
     }
   }
@@ -58,7 +58,8 @@ LowerBoundResult constrain_lower_bound(Manager& mgr, Edge f, Edge c,
     result.bound = 1;
     return result;
   }
-  PrefixWalk walk{mgr, max_cubes};
+  const PairScratch::Walk scope = mgr.pair_scratch().begin();
+  PrefixWalk walk{mgr, mgr.pair_scratch(), max_cubes};
   if (probe_largest_cube && c != kOne) {
     // The probe is one more cube, walked by its literals outside the
     // budget; no cube BDD is built.

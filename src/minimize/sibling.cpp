@@ -5,16 +5,16 @@
 namespace bddmin::minimize {
 namespace {
 
-/// The one memoized sibling traversal.  A per-call memo mirrors the
-/// paper's methodology of flushing caches between heuristics so
-/// measurements stay independent.
+/// The one memoized sibling traversal.  Its memo, the Manager's lossless
+/// pair table, restarts per call: the paper flushes caches between
+/// heuristics so measurements stay independent.
 struct Traversal {
   Manager& mgr;
   const MixedOptions& opts;  ///< criterion per level, complement, no-new-vars
   std::uint32_t lo_level;    ///< matching window [lo_level, hi_level]
   std::uint32_t hi_level;
   bool cover;  ///< leaves spend their don't cares: [f, c] becomes [f, 1]
-  PairMemo memo;
+  PairScratch& memo;
 
   IncSpec leaf(IncSpec spec) const {
     return cover ? IncSpec{spec.f, kOne} : spec;
@@ -38,7 +38,7 @@ struct Traversal {
     const std::uint32_t level = mgr.level_of_var(top);
     if (level > hi_level) return leaf(spec);  // entirely below the window
     const std::uint64_t key = pair_key(spec.f, spec.c);
-    if (const auto it = memo.find(key); it != memo.end()) return it->second;
+    if (const std::uint64_t* hit = memo.find(key)) return unpack_pair(*hit);
     mgr.governor().charge_step();
     const auto [f_t, f_e] = mgr.branches(spec.f, top);
     const auto [c_t, c_e] = mgr.branches(spec.c, top);
@@ -60,7 +60,7 @@ struct Traversal {
       const IncSpec e = run({f_e, c_e});
       ret = IncSpec{mgr.make_node(top, t.f, e.f), mgr.make_node(top, t.c, e.c)};
     }
-    memo.emplace(key, ret);
+    memo.insert(key, pair_key(ret.f, ret.c));
     return ret;
   }
 };
@@ -70,7 +70,8 @@ IncSpec traverse(Manager& mgr, const MixedOptions& opts, std::uint32_t lo_level,
   // The traversal itself is result construction; the matching criteria it
   // calls re-scope themselves to kMatching.
   const telemetry::PhaseScope phase(mgr, telemetry::Phase::kCoverBuild);
-  Traversal ctx{mgr, opts, lo_level, hi_level, cover, {}};
+  const PairScratch::Walk walk = mgr.pair_scratch().begin();
+  Traversal ctx{mgr, opts, lo_level, hi_level, cover, mgr.pair_scratch()};
   return ctx.run(spec);
 }
 

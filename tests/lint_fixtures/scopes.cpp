@@ -37,4 +37,11 @@ void pinned_edge(Mgr& mgr) {
   use(f);
 }
 
+void unpinned_variable(Mgr& mgr) {
+  Edge x = mgr.var_edge(2);
+  mgr.garbage_collect();
+  // VIOLATION R4 (line 44): a variable node is not immortal; x may dangle.
+  use(x);
+}
+
 }  // namespace bddmin

@@ -93,6 +93,7 @@ std::vector<ParsedFinding> parse_findings(const std::string& output) {
 const std::vector<ParsedFinding> kSeeded = {
     {"tests/lint_fixtures/scopes.cpp", 22, "R3"},
     {"tests/lint_fixtures/scopes.cpp", 30, "R4"},
+    {"tests/lint_fixtures/scopes.cpp", 44, "R4"},
     {"tests/lint_fixtures/src/bdd/ops.cpp", 28, "R1"},
     {"tests/lint_fixtures/src/engine/failpoints.cpp", 13, "R7"},
     {"tests/lint_fixtures/src/engine/failpoints.cpp", 21, "R7"},
@@ -139,15 +140,16 @@ TEST_F(LintTest, JustifiedSuppressionSilencesFinding) {
 }
 
 TEST_F(LintTest, RuleSubsetSelection) {
-  // scopes.cpp seeds R3 and R4; selecting R4 must drop the R3 finding.
+  // scopes.cpp seeds R3 and two R4s; selecting R4 must drop the R3 finding.
   const RunResult r = run_lint(std::string("--rules R4 \"") +
                                BDDMIN_REPO_ROOT +
                                "/tests/lint_fixtures/scopes.cpp\"");
   EXPECT_EQ(r.exit_code, 1) << r.output;
   const std::vector<ParsedFinding> found = parse_findings(r.output);
-  ASSERT_EQ(found.size(), 1u) << r.output;
+  ASSERT_EQ(found.size(), 2u) << r.output;
   EXPECT_EQ(found[0].line, 30);
-  EXPECT_EQ(found[0].rule, "R4");
+  EXPECT_EQ(found[1].line, 44);
+  for (const ParsedFinding& f : found) EXPECT_EQ(f.rule, "R4");
 }
 
 TEST_F(LintTest, RealTreeLintsClean) {

@@ -376,9 +376,10 @@ def check_r3(relpath, clean, findings):
 EDGE_DECL_RE = re.compile(
     r"(?:^|[;{}])\s*(?:const\s+)?Edge\s+(\w+)\s*(?:=\s*([^;]*)|\{[^;]*)?;")
 GC_CALL_RE = re.compile(r"\b(?:garbage_collect|reorder_sift\w*)\s*\(")
-# Initializers whose value survives collection by construction: terminals
-# and variable nodes are permanently referenced.
-IMMORTAL_INIT_RE = re.compile(r"^(?:kOne|kZero|\w+[.\->]*\s*n?var_edge\s*\()")
+# Initializers whose value survives collection by construction: only the
+# terminals.  A variable node from var_edge()/nvar_edge() is an ordinary
+# node with ref 0 until pinned, so a collection frees it like any other.
+IMMORTAL_INIT_RE = re.compile(r"^(?:kOne|kZero)\b")
 
 
 def check_r4(relpath, body_line, body, findings):
