@@ -2,11 +2,32 @@
 /// \brief Reproduces Table 3: cumulative result sizes, % of min, runtimes
 /// and ranks over all minimization calls of the FSM-equivalence workload,
 /// bucketed by c_onset_size (all / <5% / >95%).
+#include <fstream>
+#include <string>
+#include <thread>
+
 #include "experiment_common.hpp"
 #include "harness/csv.hpp"
 #include "harness/json.hpp"
 #include "harness/render.hpp"
 #include "harness/stats.hpp"
+
+namespace {
+
+/// The CPU model line of /proc/cpuinfo, or "unknown".
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      return line.substr(line.find_first_not_of(" \t", colon + 1));
+    }
+  }
+  return "unknown";
+}
+
+}  // namespace
 
 int main() {
   using namespace bddmin;
@@ -67,6 +88,18 @@ int main() {
   json.kv("filtered_calls", interceptor.filtered_calls());
   json.kv("total_min", table.all.total_min);
   json.kv("total_lower_bound", table.all.total_lower_bound);
+  // Host fingerprint: the `seconds` below are this host's.
+  json.key("host");
+  json.begin_object();
+  json.kv("hardware_concurrency", std::thread::hardware_concurrency());
+  json.kv("cpu", cpu_model());
+#if defined(__clang__)
+  json.kv("compiler", "clang " __clang_version__);
+#else
+  json.kv("compiler", "gcc " __VERSION__);
+#endif
+  json.kv("build_type", BDDMIN_BUILD_TYPE);
+  json.end_object();
   json.key("heuristics");
   json.begin_array();
   for (std::size_t h = 0; h < names.size(); ++h) {

@@ -64,6 +64,10 @@ struct ManagerAccess {
   static std::uint32_t& pair_scratch_epoch(Manager& m) noexcept {
     return m.pair_scratch_.epoch_;
   }
+  /// Whether a pair-memo walk is in progress (a leaked guard leaves it on).
+  static bool pair_scratch_active(const Manager& m) noexcept {
+    return m.pair_scratch_.active_;
+  }
 
   static std::size_t live_count(const Manager& m) noexcept { return m.live_count_; }
   static std::size_t dead_count(const Manager& m) noexcept { return m.dead_count_; }

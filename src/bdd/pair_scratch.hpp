@@ -4,7 +4,8 @@
 ///
 /// The sibling traversal, opt_lv's per-level collect and substitute walks
 /// and the Theorem 7 bound each memoize on an (f, c) edge pair (or a node
-/// index).  One table per Manager serves them all: begin() starts a walk by
+/// index); the collect walk also files each boundary pair's vertex there.
+/// One table per Manager serves them all: begin() starts a walk by
 /// bumping the epoch in O(1), so a walk allocates nothing once the table
 /// has grown to the largest walk the manager has seen.  The table is
 /// lossless — it never evicts, and grows by doubling — so a memoized walk
@@ -17,6 +18,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "analysis/check.hpp"
@@ -71,6 +73,13 @@ class PairScratch {
   /// Store \p value under \p key unless the key is already present this
   /// walk; returns true if it was stored.
   bool insert(std::uint64_t key, std::uint64_t value) {
+    return try_emplace(key, value).second;
+  }
+
+  /// insert() that also hands out the key's value slot, the stored or the
+  /// present one, for the caller to rewrite; valid until the next insert.
+  std::pair<std::uint64_t*, bool> try_emplace(std::uint64_t key,
+                                              std::uint64_t value) {
     BDDMIN_DCHECK(active_);
     if (4 * (size_ + 1) > 3 * slots_.size()) grow();  // load <= 3/4
     for (std::size_t i = home(key);; i = (i + 1) & mask()) {
@@ -78,9 +87,9 @@ class PairScratch {
       if (s.stamp != epoch_) {
         s = Slot{key, value, epoch_};
         ++size_;
-        return true;
+        return {&s.value, true};
       }
-      if (s.key == key) return false;
+      if (s.key == key) return {&s.value, false};
     }
   }
 

@@ -7,9 +7,11 @@
 /// the values recorded in EXPERIMENTS.md, plus the Table 4 `min` row
 /// computed from the same records, and every kept call's sizes and bound
 /// against the committed bench_table3_records.csv.  It also reruns
-/// bench_table2's sibling-matcher loop and pins the Table 2 identities.  A
-/// refactor of the heuristics, the BDD kernels, the FSM substrate or the
-/// per-call evaluator that moves any of them fails here.
+/// bench_table2's sibling-matcher loop and pins the Table 2 identities,
+/// and bench_ablation_cliques' loop and pins opt_lv's total under each of
+/// its LevelOptions configurations.  A refactor of the heuristics, the BDD
+/// kernels, the FSM substrate or the per-call evaluator that moves any of
+/// them fails here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,12 +26,16 @@
 #include <utility>
 #include <vector>
 
+#include "bdd/bdd.hpp"
+#include "bdd/ops.hpp"
 #include "bdd/truth_table.hpp"
 #include "experiment_common.hpp"
 #include "harness/csv.hpp"
 #include "harness/stats.hpp"
+#include "minimize/level.hpp"
 #include "minimize/registry.hpp"
 #include "minimize/sibling.hpp"
+#include "workload/instances.hpp"
 
 namespace bddmin {
 namespace {
@@ -201,6 +207,56 @@ TEST(Golden, Table2Identities) {
             << "rows " << i + 1 << " and " << j + 1 << " coincide";
       }
     }
+  }
+}
+
+TEST(Golden, AblationCliquesOptLvTotals) {
+  // bench_ablation_cliques' loop exactly: seed 123, 24 random 12-variable
+  // instances (every third at care density 0.97, the rest at 0.15), a
+  // collection before every opt_lv call; totals as printed there.
+  Manager mgr(12);
+  std::mt19937_64 rng(123);
+  std::vector<minimize::IncSpec> instances;
+  std::vector<Bdd> pins;
+  for (int i = 0; i < 24; ++i) {
+    const double density = (i % 3 == 0) ? 0.97 : 0.15;
+    const minimize::IncSpec spec =
+        workload::random_instance(mgr, 12, density, rng);
+    if (spec.c == kZero || spec.c == kOne) continue;
+    instances.push_back(spec);
+    pins.emplace_back(mgr, spec.f);
+    pins.emplace_back(mgr, spec.c);
+  }
+  ASSERT_EQ(instances.size(), 24u);
+
+  struct Config {
+    const char* label;
+    minimize::LevelOptions opts;
+    std::size_t total;
+  };
+  std::vector<Config> configs(7, Config{"", {}, 0});
+  configs[0] = {"both optimizations (default)", {}, 201};
+  configs[1] = {"no degree ordering", {}, 201};
+  configs[1].opts.order_by_degree = false;
+  configs[2] = {"no distance weights", {}, 204};
+  configs[2].opts.weight_by_distance = false;
+  configs[3] = {"naive greedy cliques", {}, 201};
+  configs[3].opts.order_by_degree = false;
+  configs[3].opts.weight_by_distance = false;
+  configs[4] = {"set-size cap 8", {}, 199};
+  configs[4].opts.max_set_size = 8;
+  configs[5] = {"set-size cap 32", {}, 201};
+  configs[5].opts.max_set_size = 32;
+  configs[6] = {"set-size cap 128", {}, 201};
+  configs[6].opts.max_set_size = 128;
+  for (const Config& config : configs) {
+    std::size_t total = 0;
+    for (const minimize::IncSpec& spec : instances) {
+      mgr.garbage_collect();
+      total += count_nodes(mgr, minimize::opt_lv(mgr, spec.f, spec.c,
+                                                 config.opts));
+    }
+    EXPECT_EQ(total, config.total) << config.label;
   }
 }
 

@@ -58,6 +58,13 @@ TEST(PairScratch, FindAndInsertAcrossDoublings) {
   // A second insert of a present key keeps the first value.
   EXPECT_FALSE(table.insert(keys[3], 999));
   EXPECT_EQ(*table.find(keys[3]), 3u);
+  // try_emplace hands out the present key's slot; a rewrite through it
+  // is what find() sees.
+  const auto [slot, stored] = table.try_emplace(keys[3], 999);
+  EXPECT_FALSE(stored);
+  EXPECT_EQ(*slot, 3u);
+  *slot = 42;
+  EXPECT_EQ(*table.find(keys[3]), 42u);
   for (const std::uint64_t absent : random_keys(100, 2)) {
     EXPECT_EQ(table.find(absent), nullptr);
   }
@@ -224,8 +231,37 @@ TEST(PairScratch, BudgetTripReleasesTheWalk) {
                StepLimit);
   // The trip unwound out of the traversal mid-walk; the next walk starts
   // cleanly (under DCHECKs a leaked guard would throw here).
+  EXPECT_FALSE(analysis::ManagerAccess::pair_scratch_active(mgr));
   const Edge g = tsm.run(mgr, spec.f, spec.c);
   EXPECT_TRUE(minimize::is_cover(mgr, g, spec));
+}
+
+TEST(PairScratch, BudgetTripsInOptLvReleaseTheWalk) {
+  // opt_lv runs a collect walk and a substitute walk per level; a sweep of
+  // step limits lands trips in both, and in the matching between them.
+  // After every trip no walk is left active.
+  Manager mgr(kVars);
+  const minimize::IncSpec spec = instance(mgr, kVars, 24);
+  mgr.ref(spec.f);  // run_budgeted collects after a trip
+  mgr.ref(spec.c);
+  const minimize::Heuristic opt_lv =
+      minimize::heuristic_by_name(minimize::all_heuristics(), "opt_lv");
+  std::size_t trips = 0;
+  for (std::uint64_t limit = 1;; limit += limit / 4 + 1) {
+    ResourceLimits limits;
+    limits.step_limit = limit;
+    try {
+      const Edge g =
+          minimize::run_budgeted(mgr, opt_lv, limits, spec.f, spec.c);
+      EXPECT_TRUE(minimize::is_cover(mgr, g, spec));
+      break;
+    } catch (const StepLimit&) {
+      ++trips;
+      ASSERT_FALSE(analysis::ManagerAccess::pair_scratch_active(mgr))
+          << "step limit " << limit;
+    }
+  }
+  EXPECT_GT(trips, 10u);
 }
 
 }  // namespace

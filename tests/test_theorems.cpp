@@ -176,7 +176,8 @@ TEST(Theorem15, CliqueMergeYieldsValidCommonICover) {
     }
     const CliqueCover cover = fmm_tsm(mgr, specs, {}, LevelOptions{});
     EXPECT_EQ(cover.clique_of.size(), specs.size());
-    for (const auto& clique : cover.cliques) {
+    for (std::size_t q = 0; q < cover.size(); ++q) {
+      const std::span<const std::size_t> clique = cover.clique(q);
       const IncSpec merged = merge_clique(mgr, specs, clique);
       for (const std::size_t j : clique) {
         EXPECT_TRUE(is_icover(mgr, merged, specs[j]));
